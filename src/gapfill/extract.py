@@ -40,15 +40,15 @@ class ExtractionResult:
 
 
 class _Hyp:
-    __slots__ = ("state", "context", "lm", "wt", "spelled", "tokens")
+    __slots__ = ("state", "context", "lm", "wt", "spelled", "ntokens")
 
-    def __init__(self, state, context, lm, wt, spelled, tokens):
+    def __init__(self, state, context, lm, wt, spelled, ntokens):
         self.state = state
         self.context = context
         self.lm = lm
         self.wt = wt
         self.spelled = spelled
-        self.tokens = tokens
+        self.ntokens = ntokens  # transitions taken, the tie-break in _better
 
 
 def _combined(h, lm_weight, trans_weight):
@@ -95,7 +95,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
     # state -> {(context, spelled): hyp (+ prev_frag in spelled tracking)}
     # prev_frag is derivable from the last token; store it alongside.
     pending = {s: {} for s in lat.states}
-    start_h = _Hyp(lat.start, start_ctx, 0.0, 0.0, "", ())
+    start_h = _Hyp(lat.start, start_ctx, 0.0, 0.0, "", 0)
     pending[lat.start][(start_ctx, "", False)] = start_h
 
     def keep_top(cands):
@@ -128,7 +128,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
         ca, cb = _combined(a, lw, tw), _combined(b, lw, tw)
         if ca != cb:
             return ca > cb
-        return len(a.tokens) < len(b.tokens)
+        return a.ntokens < b.ntokens
 
     layers = {}
     for s in lat._order:
@@ -157,7 +157,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
             if s == lat.final:
                 for (_ctx, spelled, _pf), h in hyps.items():
                     score = h.lm + model.end_logprob(h.context)
-                    done = _Hyp(s, h.context, score, h.wt, spelled, h.tokens)
+                    done = _Hyp(s, h.context, score, h.wt, spelled, h.ntokens)
                     cur = finals.get(spelled)
                     if cur is None or _better(done, cur, lm_weight, trans_weight):
                         finals[spelled] = done
@@ -170,7 +170,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
                         if csize:
                             c = (c + [mt])[-csize:]
                     ns, nf = _extend_spelling(spelled, pf, tok)
-                    nh = _Hyp(dst, tuple(c), lm, h.wt + w, ns, h.tokens + (tok,))
+                    nh = _Hyp(dst, tuple(c), lm, h.wt + w, ns, h.ntokens + 1)
                     key = (tuple(c), ns, nf)
                     cur = pending[dst].get(key)
                     if cur is None or _better(nh, cur, lm_weight, trans_weight):

@@ -204,34 +204,35 @@ def parse_gloss_file(fp):
 # compilation
 
 def compile_gloss(g: GlossStructure) -> Lattice:
-    """Lattice whose paths are exactly the token sequences the gloss denotes."""
-    lat = _compile(g)
-    v = lattice.validate(lat) if not lat.validated else None
+    """Lattice whose paths are exactly the token sequences the gloss denotes.
+
+    One pass with a work stack of (node, src, dst): a leaf is one arc, a
+    sequence chains its parts through fresh states, and alternatives all
+    run from src to dst.  States are integers (start 0, final 1, the rest
+    counted from 2) and arcs come out in left-to-right leaf order.
+    """
+    arcs = []
+    count = 2
+    stack = [(g, 0, 1)]
+    while stack:
+        node, src, dst = stack.pop()
+        if isinstance(node, Leaf):
+            arcs.append((src, dst, node.token, 0.0))
+        elif isinstance(node, Seq):
+            m = len(node.children)
+            points = [src, *range(count, count + m - 1), dst]
+            count += m - 1
+            for i in range(m - 1, -1, -1):
+                stack.append((node.children[i], points[i], points[i + 1]))
+        elif isinstance(node, Alt):
+            stack.extend((child, src, dst) for child in reversed(node.children))
+        else:
+            raise GlossError("unknown gloss node %r" % (node,))
+    lat = lattice.build(range(count), 0, 1, arcs)
+    v = lattice.validate(lat)
     if v is not None:
         raise GlossError("compiled lattice failed validation (%s)" % v)
     return lat
-
-
-def _leaf_lattice(tok: Token) -> Lattice:
-    lat = lattice.build([0, 1], 0, 1, [(0, 1, tok, 0.0)])
-    lattice.validate(lat)
-    return lat
-
-
-def _compile(g: GlossStructure) -> Lattice:
-    if isinstance(g, Leaf):
-        return _leaf_lattice(g.token)
-    if isinstance(g, Seq):
-        acc = _compile(g.children[0])
-        for child in g.children[1:]:
-            acc = lattice.concat(acc, _compile(child))
-        return acc
-    if isinstance(g, Alt):
-        acc = _compile(g.children[0])
-        for child in g.children[1:]:
-            acc = lattice.union(acc, _compile(child))
-        return acc
-    raise GlossError("unknown gloss node %r" % (g,))
 
 
 def denoted_count(g: GlossStructure) -> int:

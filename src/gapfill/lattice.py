@@ -307,23 +307,27 @@ def enumerate_paths(lat: Lattice, limit: int):
     return paths
 
 
-def _renamed(lat: Lattice, tag):
-    mapping = {s: (tag, s) for s in lat.states}
-    trans = [(mapping[a], mapping[b], tok, w) for (a, b, tok, w) in lat.transitions]
-    return mapping, trans
+def _topo_ids(lat: Lattice, first=0):
+    """Integer ids in lat's topological order, counting from first.
+
+    Start is first in that order and final last, so start gets first and
+    final the largest id.
+    """
+    return {s: first + i for i, s in enumerate(lat._order)}
+
+
+def _arcs(lat: Lattice, ids):
+    return [(ids[s], ids[d], tok, w) for (s, d, tok, w) in lat.transitions]
 
 
 def concat(a: Lattice, b: Lattice) -> Lattice:
     """Join every path of a with every path of b (a's final = b's start)."""
     a.ensure_validated()
     b.ensure_validated()
-    ma, ta = _renamed(a, 0)
-    mb, tb = _renamed(b, 1)
-    glue = ma[a.final]
-    tb = [((glue if s == mb[b.start] else s), (glue if d == mb[b.start] else d), tok, w)
-          for (s, d, tok, w) in tb]
-    states = set(ma.values()) | (set(mb.values()) - {mb[b.start]})
-    return _validated_copy(states, ma[a.start], mb[b.final] if b.final != b.start else glue, ta + tb)
+    ia = _topo_ids(a)
+    ib = _topo_ids(b, ia[a.final])
+    final = ib[b.final]
+    return _validated_copy(range(final + 1), 0, final, _arcs(a, ia) + _arcs(b, ib))
 
 
 def union(a: Lattice, b: Lattice) -> Lattice:
@@ -332,20 +336,12 @@ def union(a: Lattice, b: Lattice) -> Lattice:
     b.ensure_validated()
     if a.start == a.final or b.start == b.final:
         raise LatticeError("union over a zero-transition lattice is not representable")
-    ma, ta = _renamed(a, 0)
-    mb, tb = _renamed(b, 1)
-    start, final = ma[a.start], ma[a.final]
-
-    def remap(s):
-        if s == mb[b.start]:
-            return start
-        if s == mb[b.final]:
-            return final
-        return s
-
-    tb = [(remap(s), remap(d), tok, w) for (s, d, tok, w) in tb]
-    states = set(ma.values()) | {remap(s) for s in mb.values()}
-    return _validated_copy(states, start, final, ta + tb)
+    ia = _topo_ids(a)
+    final = ia[a.final]
+    # b's inner states follow a's final; its start and final merge into a's.
+    ib = _topo_ids(b, final)
+    ib[b.start], ib[b.final] = 0, final
+    return _validated_copy(range(len(ia) + len(ib) - 2), 0, final, _arcs(a, ia) + _arcs(b, ib))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from . import lattice as L
+
 __all__ = [
     "ModelError",
     "classify_token",
@@ -293,8 +295,6 @@ class NGramModel:
 
     def tokens_for(self, tok):
         """Model tokens consumed by one lattice transition."""
-        from . import lattice as L
-
         if tok.kind == L.EMPTY:
             return []
         if self.mode == "letters":

@@ -122,31 +122,39 @@ class ChartResult:
     words: tuple = ()
 
 
+def _marker_pairs(tokens, grammar):
+    """Matched marker pairs as {open position: close position}, in the
+    order they close, and whether any marker is left unmatched."""
+    stack = []
+    pairs = {}
+    unmatched = False
+    for i, t in enumerate(tokens):
+        if t in grammar.markers:
+            stack.append((t, i))
+        elif t in grammar.markers.values():
+            for k in range(len(stack) - 1, -1, -1):
+                if grammar.markers[stack[k][0]] == t:
+                    pairs[stack[k][1]] = i
+                    del stack[k]
+                    break
+            else:
+                unmatched = True
+    return pairs, unmatched or bool(stack)
+
+
 def _marker_walls(tokens, grammar):
     """Word positions of each matched marker pair's enclosed span.
 
     Returns (word tokens, list of (a, b) word spans, unmatched marker flag).
     """
+    pairs, unmatched = _marker_pairs(tokens, grammar)
     words = []
-    spans = []
-    stack = []
-    unmatched = False
+    at = []  # token position -> number of words before it
     for tok in tokens:
-        if tok in grammar.markers:
-            stack.append((tok, len(words)))
-        elif tok in grammar.markers.values():
-            for k in range(len(stack) - 1, -1, -1):
-                if grammar.markers[stack[k][0]] == tok:
-                    spans.append((stack[k][1], len(words)))
-                    del stack[k]
-                    break
-            else:
-                unmatched = True
-        else:
+        at.append(len(words))
+        if not grammar.is_marker(tok):
             words.append(tok)
-    if stack:
-        unmatched = True
-    return words, spans, unmatched
+    return words, [(at[i], at[j]) for i, j in pairs.items()], unmatched
 
 
 def _span_allowed(i, j, walls):
@@ -341,21 +349,6 @@ def _noun_runs(tokens, grammar):
     return runs
 
 
-def _marker_pairs(tokens, grammar):
-    stack = []
-    pairs = {}
-    for i, t in enumerate(tokens):
-        if t in grammar.markers:
-            stack.append((t, i))
-        elif t in grammar.markers.values():
-            for k in range(len(stack) - 1, -1, -1):
-                if grammar.markers[stack[k][0]] == t:
-                    pairs[stack[k][1]] = i
-                    del stack[k]
-                    break
-    return pairs
-
-
 def respects_constraints(tokens, subset, grammar: Grammar) -> bool:
     """Grammar heuristics on a candidate skip set.
 
@@ -367,7 +360,7 @@ def respects_constraints(tokens, subset, grammar: Grammar) -> bool:
     for run in _noun_runs(tokens, grammar):
         if len(subset.intersection(run)) == 1:
             return False
-    pairs = _marker_pairs(tokens, grammar)
+    pairs, _unmatched = _marker_pairs(tokens, grammar)
     ends = {j: i for i, j in pairs.items()}
     for i in subset:
         t = tokens[i]

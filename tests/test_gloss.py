@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -91,6 +92,27 @@ class TestCompile:
         a = G.compile_gloss(G.parse_gloss(text))
         b = G.compile_gloss(G.parse_gloss(text))
         assert spellings(a) == spellings(b)
+
+    def test_deep_nesting_compiles_without_recursion(self):
+        a, b = G.Leaf(L.word("a")), G.Leaf(L.word("b"))
+        node, expected = a, 1
+        for depth in range(3000):
+            if depth % 2:
+                node, expected = G.Seq([G.Alt([a, b]), node]), 2 * expected
+            else:
+                node, expected = G.Alt([node, b]), expected + 1
+        assert L.path_count(G.compile_gloss(node)) == expected
+
+    def test_long_flat_gloss_compiles_quickly(self):
+        k = 400
+        text = "(GLOSS (%s))" % " ".join(
+            '(OP%d (*OR* "w%d" "*empty*"))' % (i, i) for i in range(1, k + 1))
+        g = G.parse_gloss(text)
+        t0 = time.perf_counter()
+        lat = G.compile_gloss(g)
+        assert time.perf_counter() - t0 < 5.0
+        assert L.path_count(lat) == G.denoted_count(g) == 2 ** k
+        assert lat.states == frozenset(range(len(lat.states)))
 
 
 def _sample_spellings(lat, prefix):
