@@ -175,8 +175,13 @@ def _cmd_skipparse(args):
         table = skipparse.SuspicionTable({}, 0.0)
     budget = skipparse.SkipBudget(max_skips=args.max_skips)
     result = skipparse.skip_parse(args.tokens, grammar, table, budget)
+    if result.budget_exhausted:
+        sys.stdout.write("no parse: budget of %d candidates exhausted\n"
+                         % budget.max_candidates)
+        return 0
     if not result.ok:
-        sys.stdout.write("no parse (explored %d candidates)\n" % result.explored)
+        sys.stdout.write("no parse within %d skips (explored %d candidates)\n"
+                         % (budget.max_skips, result.explored))
         return 0
     skipped = " ".join(args.tokens[i] for i in result.skipped) or "-"
     sys.stdout.write("skipped:\t%s\n" % skipped)

@@ -9,6 +9,8 @@ marker leaves are special: "*empty*" (optional material) and "+plural"
 
 from __future__ import annotations
 
+import math
+
 from . import lattice
 from .lattice import EMPTY_MARK, REGISTERED_MORPH_TAGS, Lattice, Token
 
@@ -236,18 +238,24 @@ def compile_gloss(g: GlossStructure) -> Lattice:
 
 
 def denoted_count(g: GlossStructure) -> int:
-    """Number of token sequences the gloss denotes (recursive count)."""
-    if isinstance(g, Leaf):
-        return 1
-    if isinstance(g, Seq):
-        n = 1
-        for child in g.children:
-            n *= denoted_count(child)
-        return n
-    total = 0
-    for child in g.children:
-        total += denoted_count(child)
-    return total
+    """Number of token sequences the gloss denotes: a product over a
+    sequence's parts, a sum over alternatives.  Iterative, so any depth
+    works; a part shared by several nodes is evaluated once."""
+    counts = {}
+    stack = [(g, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in counts:
+            continue
+        if isinstance(node, Leaf):
+            counts[id(node)] = 1
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+        else:
+            parts = [counts[id(child)] for child in node.children]
+            counts[id(node)] = math.prod(parts) if isinstance(node, Seq) else sum(parts)
+    return counts[id(g)]
 
 
 # ---------------------------------------------------------------------------

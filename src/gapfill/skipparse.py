@@ -8,10 +8,20 @@ heuristics: never drop exactly one noun out of a noun sequence, and drop
 boundary markers only in matched pairs whose inner material parses as a
 single constituent.  Suspicion scores come from part-of-speech bigram
 statistics contrasting parsed against unparsed sentences.
+
+The chart indexes constituents by integer bitmasks of where they start
+and end, so a rule's first split is one AND and a lowest set bit.  Before
+enumerating candidates, skip_parse computes k*, the fewest words any
+candidate must drop, from a min-cost chart over the same bitmasks that
+ignores walls and guardrails (after GLR*, Lavie & Tomita 1993).  The
+search starts at k* skips and returns no parse at once when k* exceeds
+the skip budget; within a skip count the order, and so every result, is
+that of the plain fewest-skips-first search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -60,6 +70,23 @@ class Grammar:
                 if sym not in declared:
                     raise GrammarError("rule symbol %r is neither a nonterminal "
                                        "nor a lexicon tag" % sym)
+
+    @functools.cached_property
+    def _binarized(self):
+        """The rules as ({left: [(lhs, right), ...]}, [(lhs, sym), ...]):
+        binary rules by their left symbol, then unary rules.  A rule of
+        m > 2 symbols becomes a chain of m - 1 binary rules through fresh
+        symbols (lhs, rule number, position).  Callers must not change it."""
+        by_left, unary = {}, []
+        for r, (lhs, rhs) in enumerate(self.rules):
+            if len(rhs) == 1:
+                unary.append((lhs, rhs[0]))
+                continue
+            for k, sym in enumerate(rhs[:-1]):
+                right = rhs[-1] if k == len(rhs) - 2 else (lhs, r, k + 1)
+                by_left.setdefault(sym, []).append((lhs, right))
+                lhs = right
+        return by_left, unary
 
     def is_marker(self, token):
         return token in self.markers or token in self.markers.values()
@@ -175,6 +202,12 @@ def chart_parse(tokens, grammar: Grammar) -> ChartResult:
 
     Marker tokens are not words: they only contribute walls that spans
     must respect.  Unknown words take the grammar's OOV tag set.
+
+    Cells fill by increasing span; each cell takes passes over the rules
+    in grammar order until nothing changes, and each symbol keeps the
+    first split found, leftmost split points first.  Splits are looked
+    up in integer bitmasks: bit k of ends[i][sym] says sym spans (i, k),
+    bit i of begins[j][sym] says it spans (i, j).
     """
     words, walls, unmatched = _marker_walls(tokens, grammar)
     if unmatched:
@@ -183,48 +216,63 @@ def chart_parse(tokens, grammar: Grammar) -> ChartResult:
     if n == 0:
         return ChartResult(False, words=())
     chart = {}
+    ends = [{} for _ in range(n + 1)]
+    begins = [{} for _ in range(n + 1)]
+    unary = [(lhs, rhs) for lhs, rhs in grammar.rules if len(rhs) == 1]
     for i, w in enumerate(words):
-        cell = {}
-        for tag in grammar.tags(w):
-            cell[tag] = ("lex", w)
-        chart[(i, i + 1)] = cell
+        chart[(i, i + 1)] = {tag: ("lex", w) for tag in grammar.tags(w)}
     for span in range(1, n + 1):
         for i in range(0, n - span + 1):
             j = i + span
             cell = chart.setdefault((i, j), {})
             if not _span_allowed(i, j, walls):
                 continue
-            changed = True
-            while changed:  # unary closure within the cell
+            rules = grammar.rules
+            while rules:
                 changed = False
-                for lhs, rhs in grammar.rules:
+                for lhs, rhs in rules:
                     if lhs in cell:
                         continue
-                    bp = _match_rhs(chart, rhs, i, j, walls)
+                    if len(rhs) == 1:
+                        bp = ((i, j, rhs[0]),) if rhs[0] in cell else None
+                    else:
+                        bp = _first_split(ends, begins, rhs, i, j)
                     if bp is not None:
                         cell[lhs] = ("rule", rhs, bp)
                         changed = True
+                # Later passes can only add unary rules: longer ones
+                # split into smaller cells, which are complete.
+                rules = unary if changed else ()
+            at_i, at_j = ends[i], begins[j]
+            for sym in cell:
+                at_i[sym] = at_i.get(sym, 0) | 1 << j
+                at_j[sym] = at_j.get(sym, 0) | 1 << i
     ok = grammar.start in chart.get((0, n), {})
     tree = _build_tree(chart, grammar.start, 0, n, words) if ok else None
     return ChartResult(ok, tree, chart, tuple(words))
 
 
-def _match_rhs(chart, rhs, i, j, walls):
-    """First split of [i, j) into consecutive constituents matching rhs."""
-
-    def rec(pos, k):
-        if k == len(rhs):
-            return () if pos == j else None
-        sym = rhs[k]
-        remaining = len(rhs) - k - 1
-        for end in range(pos + 1, j - remaining + 1):
-            if sym in chart.get((pos, end), {}) and _span_allowed(pos, end, walls):
-                rest = rec(end, k + 1)
-                if rest is not None:
-                    return ((pos, end, sym),) + rest
+def _first_split(ends, begins, rhs, pos, j, k=0):
+    """First split of [pos, j) into constituents rhs[k:], ordered by the
+    end of rhs[k] first, then by the later split points."""
+    if k == len(rhs) - 2:
+        both = ends[pos].get(rhs[k], 0) & begins[j].get(rhs[k + 1], 0)
+        if not both:
+            return None
+        mid = (both & -both).bit_length() - 1
+        return ((pos, mid, rhs[k]), (mid, j, rhs[k + 1]))
+    last = j - len(rhs) + k + 1  # rhs[k] leaves a word for each later one
+    if last <= pos:
         return None
-
-    return rec(i, 0)
+    mids = ends[pos].get(rhs[k], 0) & ((2 << last) - 1)
+    while mids:
+        low = mids & -mids
+        mid = low.bit_length() - 1
+        rest = _first_split(ends, begins, rhs, mid, j, k + 1)
+        if rest is not None:
+            return ((pos, mid, rhs[k]),) + rest
+        mids ^= low
+    return None
 
 
 def _build_tree(chart, sym, i, j, words):
@@ -381,6 +429,83 @@ def respects_constraints(tokens, subset, grammar: Grammar) -> bool:
     return True
 
 
+def _min_skips_bound(tokens, grammar, limit=None):
+    """Fewest words to drop so that the kept words derive the start symbol,
+    with walls and both guardrails ignored (math.inf if no subsequence
+    parses).  This relaxes skip_parse's search, so it is a lower bound on
+    the skip count of any subset that search accepts.  Counts above
+    `limit` are not told apart: any of them comes back as limit + 1.
+
+    Markers are not words and cost nothing, except that an unmatched one
+    gives math.inf: no candidate may drop it, and dropping matched pairs
+    never matches it, so no candidate parses.
+
+    A min-cost chart built one drop count c at a time on bitmasks like
+    chart_parse's, over the grammar's binarized rules: bit j of
+    ends[c][i][sym] says sym derives what is left of words (i, j) after at
+    most c drops.  Layer c starts as layer c - 1 with one more edge word
+    dropped; a binary rule then adds a span when some split's drops sum
+    to at most c.
+    """
+    if _marker_pairs(tokens, grammar)[1]:
+        return math.inf
+    words = [t for t in tokens if not grammar.is_marker(t)]
+    n = len(words)
+    top = n if limit is None else min(limit, n)
+    by_left, unary = grammar._binarized
+    ends, begins = [], []
+    for c in range(top + 1):
+        if c:
+            e, b = _drop_edge_word(ends[-1], begins[-1], n)
+        else:
+            e, b = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
+            for i, w in enumerate(words):
+                for tag in grammar.tags(w):
+                    e[i][tag] = 1 << (i + 1)
+                    b[i + 1][tag] = 1 << i
+        ends.append(e)
+        begins.append(b)
+        for span in range(1, n + 1):
+            for i in range(n - span + 1):
+                j = i + span
+                at_i, at_j, bit = e[i], b[j], 1 << j
+                # a copy, since at_i gains the symbols the rules add
+                for left, left_ends in list(at_i.items()) if span > 1 else ():
+                    for lhs, right in by_left.get(left, ()):
+                        if at_i.get(lhs, 0) & bit or not left_ends & at_j.get(right, 0):
+                            continue
+                        for d in range(c + 1):
+                            if ends[d][i].get(left, 0) & begins[c - d][j].get(right, 0):
+                                at_i[lhs] = at_i.get(lhs, 0) | bit
+                                at_j[lhs] = at_j.get(lhs, 0) | 1 << i
+                                break
+                changed = True
+                while changed:
+                    changed = False
+                    for lhs, sym in unary:
+                        if at_i.get(sym, 0) & bit and not at_i.get(lhs, 0) & bit:
+                            at_i[lhs] = at_i.get(lhs, 0) | bit
+                            at_j[lhs] = at_j.get(lhs, 0) | 1 << i
+                            changed = True
+        if e[0].get(grammar.start, 0) >> n & 1:
+            return c
+    return math.inf if top == n else top + 1
+
+
+def _drop_edge_word(ends, begins, n):
+    """The next layer's masks before any rule applies: every span of the
+    last layer, also with its first or its last word dropped."""
+    full = (2 << n) - 1
+    e = [{sym: m | (m << 1) & full for sym, m in row.items()} for row in ends]
+    b = [{sym: m | m >> 1 for sym, m in row.items()} for row in begins]
+    for i in range(n):
+        for sym, m in ends[i + 1].items():
+            e[i][sym] = e[i].get(sym, 0) | m
+        for sym, m in begins[i].items():
+            b[i + 1][sym] = b[i + 1].get(sym, 0) | m
+    return e, b
+
+
 def skip_parse(tokens, grammar: Grammar, table: SuspicionTable,
                budget: SkipBudget = None) -> SkipResult:
     """Largest grammatical subset search, fewest skips first.
@@ -388,16 +513,27 @@ def skip_parse(tokens, grammar: Grammar, table: SuspicionTable,
     Within a skip count, candidates are tried highest total suspicion of
     the skipped tokens first (ties by position, deterministically).
     Returns the first subset whose kept tokens fully parse.
+
+    Before enumerating, a min-cost chart gives k*, a lower bound on the
+    skip count of any accepted subset (see _min_skips_bound).  The search
+    starts at k* skips, and stops at once when k* exceeds max_skips.
+    Every candidate examined counts against max_candidates, including
+    those the guardrails reject; `explored` reports that count, with the
+    full sentence as the first candidate.
     """
     tokens = list(tokens)
     budget = budget or SkipBudget()
     full = chart_parse(tokens, grammar)
     if full.ok:
         return SkipResult(True, tuple(range(len(tokens))), (), full.tree, explored=1)
-    susp = _token_suspicion(tokens, grammar, table)
     explored = 1
     n = len(tokens)
-    for k in range(1, min(budget.max_skips, n) + 1):
+    most = min(budget.max_skips, n)
+    fewest = _min_skips_bound(tokens, grammar, most)
+    if fewest > most:
+        return SkipResult(False, explored=explored)
+    susp = _token_suspicion(tokens, grammar, table)
+    for k in range(max(1, fewest), most + 1):
         candidates = []
         for subset in itertools.combinations(range(n), k):
             candidates.append((-sum(susp[i] for i in subset), subset))
@@ -405,10 +541,10 @@ def skip_parse(tokens, grammar: Grammar, table: SuspicionTable,
         for _neg, subset in candidates:
             if explored >= budget.max_candidates:
                 return SkipResult(False, explored=explored, budget_exhausted=True)
+            explored += 1
             if not respects_constraints(tokens, subset, grammar):
                 continue
             kept = [tokens[i] for i in range(n) if i not in subset]
-            explored += 1
             res = chart_parse(kept, grammar)
             if res.ok:
                 kept_ix = tuple(i for i in range(n) if i not in subset)

@@ -1,6 +1,7 @@
+import functools
 import io
 
-from gapfill import cli, fixtures
+from gapfill import cli, fixtures, skipparse
 
 
 def run(capsys, *argv):
@@ -87,6 +88,22 @@ class TestPipelines:
                                 "--suspicion", str(fixtures.path("suspicion.tsv")))
         assert status == 0
         assert "skipped:\t!" in out
+
+    def test_skipparse_no_parse_within_skips(self, capsys):
+        status, out, _err = run(capsys, "skipparse", "dog", "cat", "bird", "barks",
+                                "--grammar", str(fixtures.path("toy.cfg")),
+                                "--max-skips", "1")
+        assert status == 0
+        assert out == "no parse within 1 skips (explored 5 candidates)\n"
+
+    def test_skipparse_budget_exhausted(self, capsys, monkeypatch):
+        small = functools.partial(skipparse.SkipBudget, max_candidates=3)
+        monkeypatch.setattr(skipparse, "SkipBudget", small)
+        status, out, _err = run(capsys, "skipparse", "dog", "cat", "bird", "barks",
+                                "--grammar", str(fixtures.path("toy.cfg")),
+                                "--max-skips", "1")
+        assert status == 0
+        assert out == "no parse: budget of 3 candidates exhausted\n"
 
     def test_skipparse_trains_suspicion_on_the_fly(self, capsys):
         status, out, _err = run(capsys, "skipparse", "a", "cat", "um", "sleeps",

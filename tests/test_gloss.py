@@ -95,13 +95,10 @@ class TestCompile:
 
     def test_deep_nesting_compiles_without_recursion(self):
         a, b = G.Leaf(L.word("a")), G.Leaf(L.word("b"))
-        node, expected = a, 1
+        node = a
         for depth in range(3000):
-            if depth % 2:
-                node, expected = G.Seq([G.Alt([a, b]), node]), 2 * expected
-            else:
-                node, expected = G.Alt([node, b]), expected + 1
-        assert L.path_count(G.compile_gloss(node)) == expected
+            node = G.Seq([G.Alt([a, b]), node]) if depth % 2 else G.Alt([node, b])
+        assert L.path_count(G.compile_gloss(node)) == G.denoted_count(node)
 
     def test_long_flat_gloss_compiles_quickly(self):
         k = 400

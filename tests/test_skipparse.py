@@ -1,10 +1,13 @@
 import io
 import itertools
 import math
+import random
+import time
 
 import pytest
 
 from gapfill import skipparse as S
+from gapfill import fixtures
 from gapfill.fixtures import corpus_lines, mixed_corpus, suspicion_table, toy_grammar
 
 
@@ -83,6 +86,88 @@ def _naive_parses(tokens, grammar):
         return False
 
     return derives(grammar.start, 0, len(tokens))
+
+
+def _reference_chart(tokens, grammar):
+    """The chart parser before bitmask indexing: each closure pass tries
+    every rule in every cell by recursive search over split points.  Kept
+    as the reference the indexed chart must reproduce exactly."""
+    words, walls, unmatched = S._marker_walls(tokens, grammar)
+    if unmatched:
+        return S.ChartResult(False, words=tuple(words))
+    n = len(words)
+    if n == 0:
+        return S.ChartResult(False, words=())
+    chart = {}
+    for i, w in enumerate(words):
+        cell = {}
+        for tag in grammar.tags(w):
+            cell[tag] = ("lex", w)
+        chart[(i, i + 1)] = cell
+    for span in range(1, n + 1):
+        for i in range(0, n - span + 1):
+            j = i + span
+            cell = chart.setdefault((i, j), {})
+            if not S._span_allowed(i, j, walls):
+                continue
+            changed = True
+            while changed:
+                changed = False
+                for lhs, rhs in grammar.rules:
+                    if lhs in cell:
+                        continue
+                    bp = _reference_match_rhs(chart, rhs, i, j, walls)
+                    if bp is not None:
+                        cell[lhs] = ("rule", rhs, bp)
+                        changed = True
+    ok = grammar.start in chart.get((0, n), {})
+    tree = S._build_tree(chart, grammar.start, 0, n, words) if ok else None
+    return S.ChartResult(ok, tree, chart, tuple(words))
+
+
+def _reference_match_rhs(chart, rhs, i, j, walls):
+    def rec(pos, k):
+        if k == len(rhs):
+            return () if pos == j else None
+        sym = rhs[k]
+        remaining = len(rhs) - k - 1
+        for end in range(pos + 1, j - remaining + 1):
+            if sym in chart.get((pos, end), {}) and S._span_allowed(pos, end, walls):
+                rest = rec(end, k + 1)
+                if rest is not None:
+                    return ((pos, end, sym),) + rest
+        return None
+
+    return rec(i, 0)
+
+
+def _ordered(res):
+    """ok, tree, words, and the chart with its cells in insertion order."""
+    return (res.ok, res.tree, res.words,
+            [(span, list(cell.items())) for span, cell in res.chart.items()])
+
+
+class TestChartReference:
+    def _check(self, grammar, vocab, count, seed):
+        rng = random.Random(seed)
+        parsed = 0
+        for _ in range(count):
+            toks = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+            res, ref = S.chart_parse(toks, grammar), _reference_chart(toks, grammar)
+            assert _ordered(res) == _ordered(ref), toks
+            parsed += res.ok
+        assert parsed > 0
+
+    def test_matches_reference_on_toy_grammar(self, grammar):
+        vocab = sorted(grammar.lexicon) + ["!", "um", "BEGIN-NP", "END-NP"]
+        self._check(grammar, vocab, 5000, 303)
+
+    def test_matches_reference_on_long_and_recursive_rules(self, grammar):
+        extra = ("S -> NP V NP PP\nNP -> NP PP\nNP -> DET ADJ ADJ N\n"
+                 "VP -> V NP NP PP\nmarker BEGIN-VP END-VP pair\n")
+        rich = S.load_grammar(io.StringIO(fixtures.path("toy.cfg").read_text() + extra))
+        vocab = sorted(rich.lexicon) + ["!", "BEGIN-NP", "END-NP", "BEGIN-VP", "END-VP"]
+        self._check(rich, vocab, 1000, 304)
 
 
 class TestMarkers:
@@ -185,6 +270,25 @@ class TestSkipParse:
         res = S.skip_parse(toks, grammar, suspicion, S.SkipBudget(max_skips=2))
         assert not res.ok
 
+    def test_budget_counts_rejected_candidates(self, grammar, suspicion):
+        # One skip can only drop a noun out of the run, which the
+        # guardrail rejects, or the verb: every candidate fails.
+        toks = "dog cat bird barks".split()
+        res = S.skip_parse(toks, grammar, suspicion,
+                           S.SkipBudget(max_skips=1, max_candidates=3))
+        assert not res.ok and res.budget_exhausted
+        assert res.explored <= 3
+        res = S.skip_parse(toks, grammar, suspicion, S.SkipBudget(max_skips=1))
+        assert not res.ok and not res.budget_exhausted
+        assert res.explored == 1 + len(toks)
+
+    def test_hopeless_long_sentence_stops_at_once(self, grammar, suspicion):
+        toks = "the dog barks um".split() * 8
+        t0 = time.perf_counter()
+        res = S.skip_parse(toks, grammar, suspicion)
+        assert time.perf_counter() - t0 < 1.0
+        assert not res.ok and not res.budget_exhausted
+
     def test_oracle_minimality(self, grammar, suspicion, rng):
         vocab = ["the", "a", "dog", "cat", "barks", "sleeps", "!", "um",
                  "big", "in", "market", "sees"]
@@ -201,6 +305,35 @@ class TestSkipParse:
                 assert res.ok and len(res.skipped) == best
             checked += 1
         assert checked == 200
+
+
+class TestSkipBound:
+    def test_never_exceeds_the_oracle(self, grammar, rng):
+        vocab = ["the", "a", "dog", "cat", "bird", "barks", "sleeps", "sees",
+                 "!", "um", "big", "new", "in", "market", "law"]
+        compared = 0
+        for _ in range(200):
+            toks = [rng.choice(vocab) for _ in range(rng.randint(2, 8))]
+            if rng.random() < 0.3:
+                i = rng.randint(0, len(toks) - 1)
+                j = rng.randint(i + 1, len(toks))
+                toks[i:j] = ["BEGIN-NP"] + toks[i:j] + ["END-NP"]
+            bound = S._min_skips_bound(toks, grammar)
+            best = _oracle_min_skips(toks, grammar)
+            if best is not None:
+                assert bound <= best, toks
+                compared += 1
+            assert min(S._min_skips_bound(toks, grammar, 1), 2) == min(bound, 2), toks
+        assert compared >= 50
+
+    def test_word_salad_has_no_bound(self, grammar):
+        assert S._min_skips_bound("sees dog cat the bird law".split(), grammar) == math.inf
+
+    def test_counts_dropped_words_only(self, grammar):
+        assert S._min_skips_bound("the dog barks".split(), grammar) == 0
+        assert S._min_skips_bound("the um dog ! barks".split(), grammar) == 2
+        assert S._min_skips_bound("BEGIN-NP the dog END-NP um barks".split(), grammar) == 1
+        assert S._min_skips_bound("BEGIN-NP the dog barks".split(), grammar) == math.inf
 
 
 def _oracle_min_skips(tokens, grammar):
