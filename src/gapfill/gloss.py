@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from . import lattice
+from . import lattice, sexpr
 from .lattice import EMPTY_MARK, REGISTERED_MORPH_TAGS, Lattice, Token
 
 __all__ = [
@@ -72,60 +72,7 @@ class Alt(GlossStructure):
 
 
 # ---------------------------------------------------------------------------
-# s-expression reading
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_space(self):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == ";":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl + 1
-            elif c.isspace():
-                self.pos += 1
-            else:
-                break
-
-    def at_end(self) -> bool:
-        self._skip_space()
-        return self.pos >= len(self.text)
-
-    def read(self):
-        """One datum: a list, a quoted string ('"', text), or a symbol."""
-        self._skip_space()
-        if self.pos >= len(self.text):
-            raise GlossError("unexpected end of input")
-        c = self.text[self.pos]
-        if c == "(":
-            self.pos += 1
-            items = []
-            while True:
-                self._skip_space()
-                if self.pos >= len(self.text):
-                    raise GlossError("unbalanced parentheses")
-                if self.text[self.pos] == ")":
-                    self.pos += 1
-                    return items
-                items.append(self.read())
-        if c == ")":
-            raise GlossError("unexpected ')' at offset %d" % self.pos)
-        if c == '"':
-            end = self.text.find('"', self.pos + 1)
-            if end < 0:
-                raise GlossError("unterminated string at offset %d" % self.pos)
-            s = self.text[self.pos + 1:end]
-            self.pos = end + 1
-            return ('"', s)
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace() \
-                and self.text[self.pos] not in '()";':
-            self.pos += 1
-        return self.text[start:self.pos]
-
+# reading
 
 def _string_leaf(text: str) -> GlossStructure:
     if text == EMPTY_MARK:
@@ -144,32 +91,39 @@ def _string_leaf(text: str) -> GlossStructure:
     return Seq([Leaf(lattice.word(p)) for p in parts])
 
 
-_OPLABEL = "OP"
-
-
 def _value_to_structure(value) -> GlossStructure:
-    if isinstance(value, tuple) and value[0] == '"':
-        return _string_leaf(value[1])
-    if isinstance(value, str):
-        raise GlossError("bare symbol %r where a gloss value was expected" % value)
-    if not isinstance(value, list) or not value:
-        raise GlossError("empty gloss value")
-    head = value[0]
-    if head == "*OR*":
-        alts = [_value_to_structure(v) for v in value[1:]]
-        if len(alts) < 2:
-            raise GlossError("*OR* needs at least two alternatives")
-        return Alt(alts)
-    # Otherwise a list of (OPk value) pairs in label order.
-    children = []
-    for k, item in enumerate(value, start=1):
-        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], str):
-            raise GlossError("expected (OP%d value) pair, got %r" % (k, item))
-        label = item[0]
-        if label != "%s%d" % (_OPLABEL, k):
-            raise GlossError("expected label OP%d, got %r" % (k, label))
-        children.append(_value_to_structure(item[1]))
-    return Seq(children)
+    """The gloss a datum denotes: one post-order pass with a work stack, so
+    any depth works.  A (cls, n) entry builds a node from the last n built."""
+    built = []
+    stack = [(value, None)]
+    while stack:
+        value, make = stack.pop()
+        if make is not None:
+            cls, n = make
+            parts = built[-n:]
+            del built[-n:]
+            built.append(cls(parts))
+        elif isinstance(value, tuple):
+            built.append(_string_leaf(value[1]))
+        elif isinstance(value, str):
+            raise GlossError("bare symbol %r where a gloss value was expected" % value)
+        elif not value:
+            raise GlossError("empty gloss value")
+        else:
+            if value[0] == "*OR*":
+                cls, parts = Alt, value[1:]
+                if len(parts) < 2:
+                    raise GlossError("*OR* needs at least two alternatives")
+            else:
+                # A list of (OPk value) pairs in label order.
+                cls, parts = Seq, []
+                for k, item in enumerate(value, start=1):
+                    if not (isinstance(item, list) and len(item) == 2 and item[0] == "OP%d" % k):
+                        raise GlossError("expected an (OP%d value) pair" % k)
+                    parts.append(item[1])
+            stack.append((None, (cls, len(parts))))
+            stack.extend((part, None) for part in reversed(parts))
+    return built[0]
 
 
 def parse_gloss(text: str) -> GlossStructure:
@@ -178,11 +132,10 @@ def parse_gloss(text: str) -> GlossStructure:
     Accepts both (GLOSS value) and the fully parenthesized ((GLOSS value))
     form used in printed feature structures.
     """
-    reader = _Reader(text)
-    datum = reader.read()
-    if not reader.at_end():
-        raise GlossError("trailing text after gloss expression")
-    return _datum_to_gloss(datum)
+    data = sexpr.read_all(text, GlossError)
+    if len(data) != 1:
+        raise GlossError("expected one gloss expression, found %d" % len(data))
+    return _datum_to_gloss(data[0])
 
 
 def _datum_to_gloss(datum) -> GlossStructure:
@@ -195,11 +148,7 @@ def _datum_to_gloss(datum) -> GlossStructure:
 
 def parse_gloss_file(fp):
     """All gloss records in a file; `;` comment lines are ignored."""
-    reader = _Reader(fp.read())
-    records = []
-    while not reader.at_end():
-        records.append(_datum_to_gloss(reader.read()))
-    return records
+    return [_datum_to_gloss(datum) for datum in sexpr.read_all(fp.read(), GlossError)]
 
 
 # ---------------------------------------------------------------------------

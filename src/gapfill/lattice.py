@@ -8,6 +8,7 @@ Weights are log10 scores carried on transitions (0.0 = probability one).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -448,8 +449,10 @@ def read_lattice(fp) -> Lattice:
             raise LatticeError("line %d: expected 4 fields, got %d" % (lineno, len(fields)))
         try:
             src, dst, wt = int(fields[0]), int(fields[1]), float(fields[3])
+            if not math.isfinite(wt):
+                raise ValueError
         except ValueError:
-            raise LatticeError("line %d: bad state id or weight" % lineno)
+            raise LatticeError("line %d: bad state id or non-finite weight" % lineno)
         transitions.append((src, dst, _parse_token(fields[2]), wt))
     lat = build(range(nstates), start, final, transitions)
     v = validate(lat)

@@ -504,7 +504,10 @@ def load(fp) -> NGramModel:
     for item in fields.get("unseen", "").split(","):
         if item:
             k, _, v = item.partition(":")
-            unseen[int(k)] = float(v)
+            try:
+                unseen[int(k)] = float(v)
+            except ValueError:
+                raise ModelError("bad unseen mass %r" % item)
 
     known = set()
     probs = {k: {} for k in range(1, order + 1)}
@@ -522,7 +525,7 @@ def load(fp) -> NGramModel:
             section = "known"
             continue
         if line.startswith("\\") and line.endswith("-grams"):
-            section = int(line[1:-6])
+            section = int(line[1:-6]) if line[1:-6].isdecimal() else 0
             if section < 1 or section > order:
                 raise ModelError("unexpected section %r" % line)
             continue
@@ -533,16 +536,22 @@ def load(fp) -> NGramModel:
             raise ModelError("content before any section: %r" % line)
         parts = line.split(" ")
         k = section
-        if len(parts) == k + 1:
-            lp, gram = float(parts[0]), tuple(parts[1:])
-        elif len(parts) == k + 2 and k < order:
-            lp, gram = float(parts[0]), tuple(parts[1:-1])
-            backoffs[k + 1][gram] = float(parts[-1])
-        else:
+        try:
+            if len(parts) == k + 1:
+                lp, gram = float(parts[0]), tuple(parts[1:])
+            elif len(parts) == k + 2 and k < order:
+                lp, gram = float(parts[0]), tuple(parts[1:-1])
+                backoffs[k + 1][gram] = float(parts[-1])
+            else:
+                raise ValueError
+        except ValueError:
             raise ModelError("bad %d-gram line: %r" % (k, line))
         probs[k][gram] = lp
     if not ended:
         raise ModelError("truncated model file (missing \\end)")
+    for level in (unseen, *probs.values(), *backoffs.values()):
+        if not all(map(math.isfinite, level.values())):
+            raise ModelError("model file holds a non-finite number")
     vocab = sorted({g[0] for g in probs[1]})
     if len(vocab) != vsize:
         raise ModelError("vocab size mismatch: header %d, file %d" % (vsize, len(vocab)))

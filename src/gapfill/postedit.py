@@ -319,48 +319,50 @@ def save_tree(tree: DecisionTree, fp, indent=0):
 
 
 def load_tree(fp) -> DecisionTree:
-    lines = []
-    for raw in fp:
-        if raw.strip():
-            body = raw.rstrip("\n")
-            depth = (len(body) - len(body.lstrip(" "))) // 2
-            lines.append((depth, body.strip().split()))
+    """Read what save_tree writes; any malformed line raises PosteditError.
+    Nodes wait for their value lines on a work stack, so any depth works."""
+    lines = [(lineno, (len(raw) - len(raw.lstrip(" "))) // 2, raw.split())
+             for lineno, raw in enumerate(fp, start=1) if raw.strip()]
     if not lines:
         raise PosteditError("empty tree file")
-    pos = [0]
 
-    def parse_counts(parts):
-        c = Counter()
-        for item in parts:
+    def read_tree(i, depth):
+        """The leaf or node that lines[i] opens."""
+        lineno, d, parts = lines[i]
+        is_leaf = parts[0] == "leaf"
+        is_node = parts[0] == "node" and len(parts) >= 3 and parts[2].startswith("default=")
+        counts = Counter()
+        for item in parts[1 if is_leaf else 3:]:
             label, _, num = item.partition(":")
-            if label not in LABELS:
-                raise PosteditError("bad label in tree file: %r" % label)
-            c[label] = int(num)
-        return c
+            if label not in LABELS or not num.isdecimal():
+                raise PosteditError("tree line %d: bad label count %r" % (lineno, item))
+            counts[label] = int(num)
+        if d != depth or not (is_leaf or is_node) or not counts:
+            raise PosteditError("tree line %d: expected 'leaf COUNTS' or 'node FEATURE"
+                                " default=VALUE COUNTS' at depth %d" % (lineno, depth))
+        if is_leaf:
+            return DecisionTree(counts=counts)
+        return DecisionTree(feature=parts[1], default=parts[2][len("default="):], counts=counts)
 
-    def rec(depth):
-        d, parts = lines[pos[0]]
-        if d != depth:
-            raise PosteditError("bad indentation in tree file")
-        pos[0] += 1
-        if parts[0] == "leaf":
-            return DecisionTree(counts=parse_counts(parts[1:]))
-        if parts[0] != "node":
-            raise PosteditError("expected node or leaf, got %r" % parts[0])
-        feature = parts[1]
-        default = parts[2].split("=", 1)[1]
-        node = DecisionTree(feature=feature, default=default,
-                            counts=parse_counts(parts[3:]))
-        while pos[0] < len(lines) and lines[pos[0]][0] == depth + 1 \
-                and lines[pos[0]][1][0] == "value":
-            value = lines[pos[0]][1][1]
-            pos[0] += 1
-            node.branches[value] = rec(depth + 2)
-        return node
-
-    tree = rec(0)
-    if pos[0] != len(lines):
-        raise PosteditError("trailing content in tree file")
+    tree = read_tree(0, 0)
+    i = 1
+    stack = [] if tree.is_leaf else [(tree, 0)]  # nodes still reading value lines
+    while stack:
+        node, depth = stack[-1]
+        if i < len(lines) and lines[i][1] == depth + 1 and lines[i][2][0] == "value":
+            if len(lines[i][2]) != 2 or i + 1 == len(lines):
+                raise PosteditError("tree line %d: expected 'value V' and a subtree" % lines[i][0])
+            child = node.branches[lines[i][2][1]] = read_tree(i + 1, depth + 2)
+            i += 2
+            if not child.is_leaf:
+                stack.append((child, depth + 2))
+        else:
+            stack.pop()
+            if node.default not in node.branches:
+                raise PosteditError("tree node %s: default=%s is not one of its values"
+                                    % (node.feature, node.default))
+    if i != len(lines):
+        raise PosteditError("tree line %d: trailing content" % lines[i][0])
     return tree
 
 

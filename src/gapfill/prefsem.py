@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import sexpr
+
 __all__ = [
     "OntologyError",
     "InterlinguaError",
@@ -69,24 +71,29 @@ class Ontology:
         self._disjoint_declared = frozenset(frozenset(p) for p in disjoint_pairs)
 
     def _toposort(self):
+        """Every concept after its parents: a depth-first walk in sorted
+        order on a work stack, so any isa depth works."""
         state = {}
         order = []
-
-        def visit(c, trail):
-            mark = state.get(c)
-            if mark == "done":
-                return
-            if mark == "busy":
-                cycle = trail[trail.index(c):] + [c]
-                raise OntologyError("isa cycle: %s" % " -> ".join(cycle))
-            state[c] = "busy"
-            for p in sorted(self.parents.get(c, ())):
-                visit(p, trail + [c])
-            state[c] = "done"
-            order.append(c)
-
-        for c in sorted(self.concepts):
-            visit(c, [])
+        for root in sorted(self.concepts):
+            if root in state:
+                continue
+            state[root] = "busy"
+            stack = [(root, iter(sorted(self.parents.get(root, ()))))]
+            while stack:
+                c, parents = stack[-1]
+                p = next(parents, None)
+                if p is None:
+                    stack.pop()
+                    state[c] = "done"
+                    order.append(c)
+                elif state.get(p) == "busy":
+                    trail = [c for c, _ in stack]
+                    cycle = trail[trail.index(p):] + [p]
+                    raise OntologyError("isa cycle: %s" % " -> ".join(cycle))
+                elif p not in state:
+                    state[p] = "busy"
+                    stack.append((p, iter(sorted(self.parents.get(p, ())))))
         return order
 
     def subsumes(self, a, b) -> bool:
@@ -189,93 +196,50 @@ class InterlinguaExpr:
         return self.instances[instance_id]
 
 
-class _ILReader:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _skip(self):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == ";":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl + 1
-            elif c.isspace():
-                self.pos += 1
-            else:
-                break
-
-    def at_end(self):
-        self._skip()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, c):
-        self._skip()
-        if self.peek() != c:
-            raise InterlinguaError("expected %r at offset %d" % (c, self.pos))
-        self.pos += 1
-
-    def symbol(self):
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace() \
-                and self.text[self.pos] not in '();"':
-            self.pos += 1
-        if start == self.pos:
-            raise InterlinguaError("expected a symbol at offset %d" % start)
-        return self.text[start:self.pos]
-
-    def string(self):
-        self.expect('"')
-        end = self.text.find('"', self.pos)
-        if end < 0:
-            raise InterlinguaError("unterminated string")
-        s = self.text[self.pos:end]
-        self.pos = end + 1
-        return s
+def _define(node, expr: InterlinguaExpr) -> str:
+    """Record the instance a `(id / CONCEPT ...)` list defines; its id."""
+    if not (isinstance(node, list) and len(node) >= 3 and node[1] == "/"
+            and isinstance(node[0], str) and isinstance(node[2], str)):
+        raise InterlinguaError("expected an (id / CONCEPT ...) instance")
+    if node[0] in expr.instances:
+        raise InterlinguaError("duplicate definition of instance %s" % node[0])
+    expr.instances[node[0]] = node[2]
+    return node[0]
 
 
-def _read_instance(r: _ILReader, expr: InterlinguaExpr) -> str:
-    r.expect("(")
-    inst = r.symbol()
-    if inst in expr.instances:
-        raise InterlinguaError("duplicate definition of instance %s" % inst)
-    slash = r.symbol()
-    if slash != "/":
-        raise InterlinguaError("expected '/' after instance id %s" % inst)
-    expr.instances[inst] = r.symbol()
-    while True:
-        c = r.peek()
-        if c == ")":
-            r.pos += 1
-            return inst
-        role = r.symbol()
-        if not role.startswith(":"):
-            raise InterlinguaError("expected a :ROLE, got %r" % role)
-        slot = len(expr.roles)
-        expr.roles.append(None)  # keep document order despite nested reads
-        expr.roles[slot] = (inst, role[1:], _read_filler(r, expr))
+def _datum_to_expr(datum) -> InterlinguaExpr:
+    """Walk an instance datum with a work stack: each instance is defined
+    where it opens and roles are appended in document order, so a bare id
+    must follow the instance it refers to."""
+    expr = InterlinguaExpr({}, [], "")
+    expr.root = _define(datum, expr)
+    stack = [(expr.root, datum, 3)]  # instance, its list, next role index
+    while stack:
+        inst, node, i = stack.pop()
+        if i == len(node):
+            continue
+        role = node[i]
+        if i + 1 == len(node) or not (isinstance(role, str) and role.startswith(":")):
+            raise InterlinguaError("expected :ROLE filler pairs in instance %s" % inst)
+        stack.append((inst, node, i + 2))
+        filler = node[i + 1]
+        if isinstance(filler, list):
+            stack.append((_define(filler, expr), filler, 3))
+            filler = ("id", filler[0])
+        elif isinstance(filler, tuple):
+            filler = ("literal", filler[1])
+        else:
+            filler = _symbol_filler(filler, expr)
+        expr.roles.append((inst, role[1:], filler))
+    return expr
 
 
-def _read_filler(r: _ILReader, expr: InterlinguaExpr):
-    c = r.peek()
-    if c == "(":
-        return ("id", _read_instance(r, expr))
-    if c == '"':
-        return ("literal", r.string())
-    sym = r.symbol()
-    try:
-        return ("literal", int(sym))
-    except ValueError:
-        pass
-    try:
-        return ("literal", float(sym))
-    except ValueError:
-        pass
+def _symbol_filler(sym: str, expr: InterlinguaExpr):
+    for number in (int, float):
+        try:
+            return ("literal", number(sym))
+        except ValueError:
+            pass
     if sym not in expr.instances:
         raise InterlinguaError("reference to undefined instance %s" % sym)
     return ("id", sym)
@@ -286,47 +250,43 @@ def parse_interlingua(text: str) -> InterlinguaExpr:
 
     Bare ids are references to previously defined instances.
     """
-    r = _ILReader(text)
-    expr = InterlinguaExpr({}, [], "")
-    expr.root = _read_instance(r, expr)
-    if not r.at_end():
-        raise InterlinguaError("trailing text after expression")
-    return expr
+    data = sexpr.read_all(text, InterlinguaError)
+    if len(data) != 1:
+        raise InterlinguaError("expected one expression, found %d" % len(data))
+    return _datum_to_expr(data[0])
 
 
 def parse_interlingua_file(fp):
-    text = fp.read()
-    r = _ILReader(text)
-    out = []
-    while not r.at_end():
-        expr = InterlinguaExpr({}, [], "")
-        expr.root = _read_instance(r, expr)
-        out.append(expr)
-    return out
+    return [_datum_to_expr(datum) for datum in sexpr.read_all(fp.read(), InterlinguaError)]
 
 
 def format_interlingua(expr: InterlinguaExpr) -> str:
-    """Canonical text form; later mentions of a shared instance print bare."""
+    """Canonical text form; later mentions of a shared instance print bare.
+    Written from a work stack, so any depth works."""
+    roles = {}
+    for holder, role, filler in expr.roles:
+        roles.setdefault(holder, []).append((role, filler))
+    out = []
     printed = set()
-
-    def fmt(inst, indent):
-        printed.add(inst)
-        parts = ["(%s / %s" % (inst, expr.instances[inst])]
-        pad = " " * (indent + 3)
-        for holder, role, filler in expr.roles:
-            if holder != inst:
-                continue
-            kind, val = filler
-            if kind == "literal":
-                rendered = '"%s"' % val if isinstance(val, str) else repr(val)
-            elif val in printed:
-                rendered = val
-            else:
-                rendered = fmt(val, indent + 3)
-            parts.append("\n%s:%s %s" % (pad, role, rendered))
-        return "".join(parts) + ")"
-
-    return fmt(expr.root, 0)
+    todo = [("", ("id", expr.root), 0)]  # (text, then a filler or None, its indent)
+    while todo:
+        text, filler, indent = todo.pop()
+        out.append(text)
+        if filler is None:
+            continue
+        kind, val = filler
+        if kind == "literal":
+            out.append('"%s"' % val if isinstance(val, str) else repr(val))
+        elif val in printed:
+            out.append(val)
+        else:
+            printed.add(val)
+            out.append("(%s / %s" % (val, expr.instances[val]))
+            pad = " " * (indent + 3)
+            todo.append((")", None, 0))
+            todo.extend(("\n%s:%s " % (pad, role), f, indent + 3)
+                        for role, f in reversed(roles.get(val, ())))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -343,10 +343,13 @@ def read_suspicion(fp) -> SuspicionTable:
             continue
         parts = line.split("\t")
         try:
+            value = float(parts[-1])
+            if not math.isfinite(value):
+                raise ValueError
             if parts[0] == "*default*" and len(parts) == 2:
-                default = float(parts[1])
+                default = value
             elif len(parts) == 3:
-                scores[(parts[0], parts[1])] = float(parts[2])
+                scores[(parts[0], parts[1])] = value
             else:
                 raise ValueError
         except ValueError:

@@ -148,8 +148,10 @@ def read_table(fp) -> TransliterationTable:
             raise TranslitError("table line %d: expected 4 tab-separated fields" % lineno)
         try:
             lp = float(parts[3])
+            if not math.isfinite(lp):
+                raise ValueError
         except ValueError:
-            raise TranslitError("table line %d: bad log probability" % lineno)
+            raise TranslitError("table line %d: bad or non-finite log probability" % lineno)
         entries.append((parts[0], parts[1], parts[2], lp))
     return TransliterationTable(entries)
 

@@ -57,3 +57,8 @@ def random_model(rng: random.Random, order=None) -> ngram.NGramModel:
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+def deep_or_text(depth):
+    """(GLOSS (*OR* (*OR* ... "a" "b") "b")) with `depth` nested *OR*s."""
+    return "(GLOSS %s%s%s)" % ("(*OR* " * depth, '"a"', ' "b")' * depth)

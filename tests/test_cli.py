@@ -1,7 +1,11 @@
 import functools
 import io
 
+import pytest
+
 from gapfill import cli, fixtures, skipparse
+
+from conftest import deep_or_text
 
 
 def run(capsys, *argv):
@@ -29,6 +33,30 @@ class TestStatusCodes:
         bad.write_text("(GLOSS ((OP1 ")
         status, _out, _err = run(capsys, "gloss", "compile", str(bad))
         assert status == 4
+
+    def test_deep_gloss_compiles(self, tmp_path, capsys):
+        deep = tmp_path / "deep.gloss"
+        deep.write_text(deep_or_text(1200))
+        status, out, _err = run(capsys, "gloss", "compile", str(deep))
+        assert status == 0 and out.startswith("LATTICE v1 ")
+
+    def test_non_finite_lattice_weight_is_format_error(self, tmp_path, capsys):
+        lat = tmp_path / "nan.lat"
+        lat.write_text("LATTICE v1 2 0 1\n0 1 w:a nan\n")
+        status, _out, err = run(capsys, "extract", str(lat), "--model",
+                                str(fixtures.path("s3.lm")))
+        assert status == 4 and "non-finite weight" in err
+
+    @pytest.mark.parametrize("tree", [
+        "node head\n  value x\n    leaf DEF:1 INDEF:0 NONE:0\n",
+        "leaf DEF:one INDEF:0 NONE:0\n",
+    ])
+    def test_malformed_tree_is_format_error(self, tmp_path, capsys, monkeypatch, tree):
+        path = tmp_path / "bad.dt"
+        path.write_text(tree)
+        monkeypatch.setattr("sys.stdin", io.StringIO("dog barks\n"))
+        status, _out, err = run(capsys, "postedit", "run", str(path))
+        assert status == 4 and "tree line 1" in err
 
     def test_domain_error_status(self, tmp_path, capsys):
         multi = tmp_path / "multi.gloss"

@@ -7,6 +7,8 @@ from gapfill import gloss as G
 from gapfill import lattice as L
 from gapfill.fixtures import read_text
 
+from conftest import deep_or_text
+
 
 def spellings(lat, limit=100000):
     return sorted({p.spelled() for p in L.enumerate_paths(lat, limit)})
@@ -68,6 +70,9 @@ class TestParse:
         recs = G.parse_gloss_file(io.StringIO('; note\n(GLOSS ((OP1 "of")))\n'))
         assert len(recs) == 1
 
+    def test_deep_or_text_parses(self):
+        g = G.parse_gloss(deep_or_text(1200))
+        assert L.path_count(G.compile_gloss(g)) == G.denoted_count(g) == 1201
 
 class TestCompile:
     def test_seq_alt_spellings(self):

@@ -237,3 +237,9 @@ class TestTextFormat:
     def test_bad_header_is_error(self):
         with pytest.raises(L.LatticeError):
             L.read_lattice(io.StringIO("LATTICE v9 1 0 0\n"))
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_is_error(self, weight):
+        text = "LATTICE v1 3 0 2\n0 1 w:a 0.0\n1 2 w:c %s\n" % weight
+        with pytest.raises(L.LatticeError):
+            L.read_lattice(io.StringIO(text))

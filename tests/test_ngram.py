@@ -213,6 +213,17 @@ class TestSaveLoad:
         with pytest.raises(N.ModelError):
             N.load(io.StringIO(text))
 
+    @pytest.mark.parametrize("number", ["nan", "inf", "x"])
+    def test_non_finite_or_bad_log_prob_is_error(self, rng, number):
+        model = N.good_turing(N.train(random_corpus(rng), 2))
+        buf = io.StringIO()
+        N.save(model, buf)
+        head, grams = buf.getvalue().split("\\2-grams\n", 1)
+        line, rest = grams.split("\n", 1)
+        text = head + "\\2-grams\n" + " ".join([number] + line.split(" ")[1:]) + "\n" + rest
+        with pytest.raises(N.ModelError):
+            N.load(io.StringIO(text))
+
     def test_empty_vocabulary_refuses_to_save(self):
         model = N.good_turing(N.train([[]], 2))
         with pytest.raises(N.ModelError):

@@ -217,6 +217,33 @@ class TestTreeFile:
         for i in inst:
             assert PE.classify(tree, i.features) == PE.classify(again, i.features)
 
+    @pytest.mark.parametrize("text", [
+        "node head\n",  # no default=
+        "node head deflt=x DEF:1\n  value x\n    leaf DEF:1\n",
+        "leaf DEF:1.5\n",  # count not an integer
+        "leaf THE:1\n",  # unknown label
+        "leaf\n",  # no counts
+        "node head default=x DEF:1\n  value x\n",  # value with no subtree
+        "node head default=x DEF:1\n  value\n    leaf DEF:1\n",
+        "node head default=y DEF:1\n  value x\n    leaf DEF:1\n",  # default names no value
+        "node head default=x DEF:1\n  value x\n   leaf DEF:1\n",  # bad indentation
+        "leaf DEF:1\nleaf DEF:2\n",  # trailing content
+        "branch DEF:1\n",
+    ])
+    def test_malformed_tree_is_error(self, text):
+        with pytest.raises(PE.PosteditError):
+            PE.load_tree(io.StringIO(text))
+
+    def test_deep_tree_loads(self):
+        depth = 1500
+        lines = []
+        for d in range(depth):
+            pad = "  " * (2 * d)
+            lines.append("%snode f%d default=x DEF:1 INDEF:0 NONE:0\n%s  value x\n" % (pad, d, pad))
+        lines.append("  " * (2 * depth) + "leaf DEF:0 INDEF:1 NONE:0\n")
+        tree = PE.load_tree(io.StringIO("".join(lines)))
+        assert PE.classify(tree, {}) == "INDEF"
+
     def test_instances_file_round_trip(self, lexicon):
         _docs, inst = PE.prepare(article_corpus(), lexicon)
         buf = io.StringIO()

@@ -31,6 +31,20 @@ class TestOntology:
         with pytest.raises(P.OntologyError):
             P.load_ontology(io.StringIO(text))
 
+    def test_isa_cycle_names_the_cycle(self):
+        text = "concept A\nconcept B\nisa A B\nisa B A\n"
+        with pytest.raises(P.OntologyError, match="^isa cycle: A -> B -> A$"):
+            P.load_ontology(io.StringIO(text))
+
+    def test_deep_isa_chain_loads(self):
+        n = 1500
+        text = "".join("concept C%d\n" % i for i in range(n))
+        # C0, the first concept in sorted order, is the bottom of the chain.
+        text += "".join("isa C%d C%d\n" % (i, i + 1) for i in range(n - 1))
+        onto = P.load_ontology(io.StringIO(text))
+        assert onto.subsumes("C%d" % (n - 1), "C0")
+        assert not onto.subsumes("C0", "C%d" % (n - 1))
+
     def test_undeclared_concept_is_load_error(self):
         with pytest.raises(P.OntologyError):
             P.load_ontology(io.StringIO("concept A\nisa A GHOST\n"))
@@ -177,6 +191,18 @@ class TestRoundTrip:
         expr = goal_expression()
         again = P.parse_interlingua(P.format_interlingua(expr))
         assert P.extract_relations(again) == P.extract_relations(expr)
+
+    def test_deep_expression_round_trips(self):
+        depth = 2000
+        text = "".join("(x%d / THING :PART " % i for i in range(depth))
+        text += "(x%d / THING :BACK x0)" % depth + ")" * depth
+        expr = P.parse_interlingua(text)
+        assert len(expr.instances) == depth + 1
+        printed = P.format_interlingua(expr)
+        again = P.parse_interlingua(printed)
+        assert (again.instances, again.roles, again.root) == \
+               (expr.instances, expr.roles, expr.root)
+        assert P.format_interlingua(again) == printed
 
     def test_random_expressions_round_trip(self, onto):
         rng = random.Random(13)

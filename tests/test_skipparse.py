@@ -218,6 +218,11 @@ class TestSuspicion:
         with pytest.raises(S.GrammarError):
             S.suspicion_train([], ["x"], grammar)
 
+    @pytest.mark.parametrize("line", ["DET\tN\tnan", "*default*\tinf", "DET\tN"])
+    def test_bad_or_non_finite_score_is_error(self, line):
+        with pytest.raises(S.GrammarError):
+            S.read_suspicion(io.StringIO("*default*\t-0.5\n%s\n" % line))
+
     def test_table_file_round_trip(self, suspicion):
         buf = io.StringIO()
         S.write_suspicion(suspicion, buf)

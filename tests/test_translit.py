@@ -51,6 +51,11 @@ class TestTrainTable:
         with pytest.raises(T.TranslitError):
             T.train_table([])
 
+    @pytest.mark.parametrize("lp", ["nan", "-inf"])
+    def test_non_finite_table_entry_is_error(self, lp):
+        with pytest.raises(T.TranslitError):
+            T.read_table(io.StringIO("ka\tca\tANY\t-0.5\nka\tka\tANY\t%s\n" % lp))
+
     def test_alignment_must_cover_romaji(self):
         with pytest.raises(T.TranslitError):
             T.read_pairs(io.StringIO("pen\tpen\tpe:pe\n"))
