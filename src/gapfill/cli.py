@@ -52,6 +52,9 @@ def _load(path, reader):
             return reader(f)
         except _FORMAT_ERRORS as e:
             raise _Fail(FORMAT_STATUS, "%s: %s" % (path, e))
+        except UnicodeDecodeError as e:
+            raise _Fail(FORMAT_STATUS, "%s: not UTF-8 text (byte %d: %s)"
+                        % (path, e.start, e.reason))
 
 
 def _seed(default):

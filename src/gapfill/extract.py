@@ -75,6 +75,9 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
 
     beam=None searches exactly; beam=B keeps the best B hypotheses per
     topological layer.  Ties order lexicographically by spelled text.
+    Expanding a state asks the model for each out-edge's tokens once, and
+    scores the edge once per distinct context: hypotheses that share a
+    (context, edge) share its LM increments and next context.
     """
     lat.ensure_validated()
     if n < 1:
@@ -92,30 +95,27 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
         for (_a, dst, _t, _w) in lat.out_edges(s):
             rank[dst] = max(rank[dst], rank[s] + 1)
 
-    # state -> {(context, spelled): hyp (+ prev_frag in spelled tracking)}
-    # prev_frag is derivable from the last token; store it alongside.
+    # state -> {(context, spelled, prev_frag): hyp}; prev_frag (the last
+    # token was a fragment) decides whether the next piece gets a space.
     pending = {s: {} for s in lat.states}
     start_h = _Hyp(lat.start, start_ctx, 0.0, 0.0, "", 0)
     pending[lat.start][(start_ctx, "", False)] = start_h
 
     def keep_top(cands):
-        """Per (state, context): best per spelling, then the top n
-        spellings, keeping exact score ties with the n-th so the final
-        ranking stays exact."""
+        """Per (state, context): the top n spellings, keeping exact score
+        ties with the n-th so the final ranking stays exact.  Keys are
+        already unique per (context, spelling), the best hypothesis per
+        spelling having won on insertion."""
         by_ctx = {}
         for key, h in cands.items():
-            group = by_ctx.setdefault(key[0], {})
-            skey = (key[1], key[2])
-            cur = group.get(skey)
-            if cur is None or _better(h, cur[1], lm_weight, trans_weight):
-                group[skey] = (key, h)
+            by_ctx.setdefault(key[0], []).append((key, h))
         out = {}
         for group in by_ctx.values():
             if len(group) <= n:
-                for key, h in group.values():
+                for key, h in group:
                     out[key] = h
                 continue
-            ordered = sorted(group.values(),
+            ordered = sorted(group,
                              key=lambda kh: (-_combined(kh[1], lm_weight, trans_weight),
                                              kh[0][1]))
             cutoff = _combined(ordered[n - 1][1], lm_weight, trans_weight)
@@ -137,12 +137,10 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
     finals = {}
     for r in sorted(layers):
         states = layers[r]
+        for s in states:
+            pending[s] = keep_top(pending[s])
         if beam is not None:
-            pool = []
-            for s in states:
-                pending[s] = keep_top(pending[s])
-                for key, h in pending[s].items():
-                    pool.append((s, key, h))
+            pool = [(s, key, h) for s in states for key, h in pending[s].items()]
             if len(pool) > beam:
                 pool.sort(key=lambda item: (-_combined(item[2], lm_weight, trans_weight),
                                             item[1][1], str(item[0])))
@@ -152,8 +150,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
                 for s in states:
                     pending[s] = {key: h for key, h in pending[s].items() if (s, key) in keep}
         for s in states:
-            hyps = keep_top(pending[s])
-            pending[s] = hyps
+            hyps = pending.pop(s)
             if s == lat.final:
                 for (_ctx, spelled, _pf), h in hyps.items():
                     score = h.lm + model.end_logprob(h.context)
@@ -161,21 +158,34 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
                     cur = finals.get(spelled)
                     if cur is None or _better(done, cur, lm_weight, trans_weight):
                         finals[spelled] = done
+            if not hyps:  # the beam emptied this state: expand none of its edges
+                continue
             for (_a, dst, tok, w) in lat.out_edges(s):
+                mtoks = model.tokens_for(tok)
+                steps = {}  # context -> (LM increment per model token, next context)
+                into = pending[dst]
                 for (ctx, spelled, pf), h in hyps.items():
+                    step = steps.get(ctx)
+                    if step is None:
+                        incs = []
+                        c = list(ctx)
+                        for mt in mtoks:
+                            incs.append(model.logprob_model(mt, tuple(c)))
+                            if csize:
+                                c = (c + [mt])[-csize:]
+                        step = steps[ctx] = (incs, tuple(c))
+                    incs, nctx = step
+                    # One addition per token, as a per-hypothesis loop would
+                    # do it: summing the increments first rounds differently.
                     lm = h.lm
-                    c = list(ctx)
-                    for mt in model.tokens_for(tok):
-                        lm += model.logprob_model(mt, tuple(c))
-                        if csize:
-                            c = (c + [mt])[-csize:]
+                    for inc in incs:
+                        lm += inc
                     ns, nf = _extend_spelling(spelled, pf, tok)
-                    nh = _Hyp(dst, tuple(c), lm, h.wt + w, ns, h.ntokens + 1)
-                    key = (tuple(c), ns, nf)
-                    cur = pending[dst].get(key)
+                    nh = _Hyp(dst, nctx, lm, h.wt + w, ns, h.ntokens + 1)
+                    key = (nctx, ns, nf)
+                    cur = into.get(key)
                     if cur is None or _better(nh, cur, lm_weight, trans_weight):
-                        pending[dst][key] = nh
-            pending[s] = {}
+                        into[key] = nh
 
     ranked = sorted(finals.values(),
                     key=lambda h: (-_combined(h, lm_weight, trans_weight), h.spelled))

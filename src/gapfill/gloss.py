@@ -56,7 +56,7 @@ class Seq(GlossStructure):
         self.children = list(children)
 
     def __repr__(self):
-        return "Seq(%r)" % (self.children,)
+        return _structure_repr(self)
 
 
 class Alt(GlossStructure):
@@ -68,7 +68,28 @@ class Alt(GlossStructure):
         self.children = list(children)
 
     def __repr__(self):
-        return "Alt(%r)" % (self.children,)
+        return _structure_repr(self)
+
+
+def _structure_repr(node):
+    """Seq([...])/Alt([...]) with each child's repr, as %r of the child list
+    would print it.  Pieces wait on a work stack, so any depth works."""
+    out = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):  # literal text
+            out.append(item[0])
+        elif isinstance(item, (Seq, Alt)):
+            out.append("Seq([" if isinstance(item, Seq) else "Alt([")
+            stack.append(("])",))
+            for i in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[i])
+                if i:
+                    stack.append((", ",))
+        else:
+            out.append(repr(item))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

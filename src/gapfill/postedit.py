@@ -307,15 +307,20 @@ def insert_articles(tokens, tree: DecisionTree, lexicon: NounLexicon):
 # file formats
 
 def save_tree(tree: DecisionTree, fp, indent=0):
-    pad = "  " * indent
-    dist = " ".join("%s:%d" % (label, tree.counts.get(label, 0)) for label in LABELS)
-    if tree.is_leaf:
-        fp.write("%sleaf %s\n" % (pad, dist))
-        return
-    fp.write("%snode %s default=%s %s\n" % (pad, tree.feature, tree.default, dist))
-    for value in sorted(tree.branches):
-        fp.write("%svalue %s\n" % ("  " * (indent + 1), value))
-        save_tree(tree.branches[value], fp, indent + 2)
+    """Write the tree as indented lines, two spaces a level, that load_tree
+    reads.  Subtrees wait on a work stack, so any depth works."""
+    stack = [(tree, indent, "")]  # (subtree, indent, the value line before it)
+    while stack:
+        tree, indent, head = stack.pop()
+        pad = "  " * indent
+        dist = " ".join("%s:%d" % (label, tree.counts.get(label, 0)) for label in LABELS)
+        if tree.is_leaf:
+            fp.write("%s%sleaf %s\n" % (head, pad, dist))
+            continue
+        fp.write("%s%snode %s default=%s %s\n" % (head, pad, tree.feature, tree.default, dist))
+        for value in reversed(sorted(tree.branches)):
+            stack.append((tree.branches[value], indent + 2,
+                          "%svalue %s\n" % ("  " * (indent + 1), value)))
 
 
 def load_tree(fp) -> DecisionTree:

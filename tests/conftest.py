@@ -13,9 +13,10 @@ EXTRA = ["reform", "gun", "Tanaka", "1994", "the", "a", "of", "in"]
 
 
 def random_lattice(rng: random.Random, max_states=12, empty_rate=0.15,
-                   weighted=True) -> L.Lattice:
+                   weighted=True, token=None) -> L.Lattice:
     """Random valid DAG lattice: forward edges only, every state on a
-    start-final path by construction."""
+    start-final path by construction.  Non-empty labels are random words,
+    or token(rng) when given."""
     n = rng.randint(3, max_states)
     edges = []
     for i in range(n - 1):
@@ -30,7 +31,7 @@ def random_lattice(rng: random.Random, max_states=12, empty_rate=0.15,
         if rng.random() < empty_rate:
             tok = L.empty()
         else:
-            tok = L.word(rng.choice(WORDS))
+            tok = token(rng) if token else L.word(rng.choice(WORDS))
         w = 0.0
         if weighted and rng.random() < 0.3:
             w = round(rng.uniform(-2.0, 1.0), 3)

@@ -34,6 +34,12 @@ class TestStatusCodes:
         status, _out, _err = run(capsys, "gloss", "compile", str(bad))
         assert status == 4
 
+    def test_undecodable_file_is_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gloss"
+        bad.write_bytes(b'(GLOSS ((OP1 "a\xff")))\n')
+        status, _out, err = run(capsys, "gloss", "compile", str(bad))
+        assert status == 4 and str(bad) in err and "not UTF-8" in err
+
     def test_deep_gloss_compiles(self, tmp_path, capsys):
         deep = tmp_path / "deep.gloss"
         deep.write_text(deep_or_text(1200))

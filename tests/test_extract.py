@@ -1,10 +1,11 @@
 import pytest
 
 from gapfill import extract as X
+from gapfill import fixtures
 from gapfill import lattice as L
 from gapfill import ngram as N
 
-from conftest import random_lattice, random_model
+from conftest import WORDS, random_lattice, random_model
 
 
 def tiny_model():
@@ -138,3 +139,144 @@ class TestClassSurfaceRestoration:
         # scoring agrees with classifying the surface word
         expected = N.sentence_logprob(model, ["Perkin", "saw"])
         assert res.ranked[0][1] == pytest.approx(expected, abs=1e-12)
+
+
+def _reference_nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0):
+    """The same search without shared edge steps: every hypothesis asks
+    the model for the edge's tokens and LM increments, and the beam path
+    runs keep_top twice.  The reference X.nbest must match exactly,
+    floats included."""
+    csize = model.context_size
+    start_ctx = model.start_context()
+    rank = {s: 0 for s in lat.states}
+    for s in lat._order:
+        for (_a, dst, _t, _w) in lat.out_edges(s):
+            rank[dst] = max(rank[dst], rank[s] + 1)
+    pending = {s: {} for s in lat.states}
+    pending[lat.start][(start_ctx, "", False)] = X._Hyp(lat.start, start_ctx, 0.0, 0.0, "", 0)
+
+    def combined(h):
+        return X._combined(h, lm_weight, trans_weight)
+
+    def better(a, b):
+        ca, cb = combined(a), combined(b)
+        return ca > cb if ca != cb else a.ntokens < b.ntokens
+
+    def keep_top(cands):
+        by_ctx = {}
+        for key, h in cands.items():
+            group = by_ctx.setdefault(key[0], {})
+            cur = group.get((key[1], key[2]))
+            if cur is None or better(h, cur[1]):
+                group[(key[1], key[2])] = (key, h)
+        out = {}
+        for group in by_ctx.values():
+            if len(group) <= n:
+                for key, h in group.values():
+                    out[key] = h
+                continue
+            ordered = sorted(group.values(), key=lambda kh: (-combined(kh[1]), kh[0][1]))
+            cutoff = combined(ordered[n - 1][1])
+            for i, kh in enumerate(ordered):
+                if i < n or combined(kh[1]) == cutoff:
+                    out[kh[0]] = kh[1]
+        return out
+
+    layers = {}
+    for s in lat._order:
+        layers.setdefault(rank[s], []).append(s)
+    finals = {}
+    for r in sorted(layers):
+        states = layers[r]
+        if beam is not None:
+            pool = []
+            for s in states:
+                pending[s] = keep_top(pending[s])
+                pool.extend((s, key, h) for key, h in pending[s].items())
+            if len(pool) > beam:
+                pool.sort(key=lambda item: (-combined(item[2]), item[1][1], str(item[0])))
+                keep = {(s, key) for s, key, _h in pool[:beam]}
+                for s in states:
+                    pending[s] = {key: h for key, h in pending[s].items() if (s, key) in keep}
+        for s in states:
+            hyps = keep_top(pending[s])
+            if s == lat.final:
+                for (_ctx, spelled, _pf), h in hyps.items():
+                    done = X._Hyp(s, h.context, h.lm + model.end_logprob(h.context), h.wt,
+                                  spelled, h.ntokens)
+                    cur = finals.get(spelled)
+                    if cur is None or better(done, cur):
+                        finals[spelled] = done
+            for (_a, dst, tok, w) in lat.out_edges(s):
+                for (ctx, spelled, pf), h in hyps.items():
+                    lm = h.lm
+                    c = list(ctx)
+                    for mt in model.tokens_for(tok):
+                        lm += model.logprob_model(mt, tuple(c))
+                        if csize:
+                            c = (c + [mt])[-csize:]
+                    ns, nf = X._extend_spelling(spelled, pf, tok)
+                    nh = X._Hyp(dst, tuple(c), lm, h.wt + w, ns, h.ntokens + 1)
+                    cur = pending[dst].get((tuple(c), ns, nf))
+                    if cur is None or better(nh, cur):
+                        pending[dst][(tuple(c), ns, nf)] = nh
+            pending[s] = {}
+    ranked = sorted(finals.values(), key=lambda h: (-combined(h), h.spelled))
+    return tuple((h.spelled, combined(h)) for h in ranked[:n])
+
+
+def _word_token(rng):
+    kind = rng.random()
+    if kind < 0.6:
+        # Out-of-vocabulary words all score as <unk>, so spellings tie.
+        return L.word(rng.choice(WORDS + ["Tanaka", "1994", "the", "zebra", "quasar"]))
+    if kind < 0.8:
+        return L.class_mark("NAME", rng.choice(["Perkin", "Tanaka", ""]))
+    if kind < 0.9:
+        return L.class_mark("NUM", "1994")
+    return L.morph("+plural")
+
+
+def _fragment_token(rng):
+    return L.fragment("".join(rng.choice("aeiknorst ") for _ in range(rng.randint(0, 4))))
+
+
+class TestSharedEdgeSteps:
+    """nbest scores each (context, edge) once and shares the step among
+    the hypotheses that reach it; results must not change at all."""
+
+    def test_matches_reference_decoder_exactly(self, rng):
+        models = [(random_model(rng, order=2), _word_token),
+                  (random_model(rng, order=3), _word_token),
+                  (fixtures.letter_model(), _fragment_token)]
+        for model, token in models:
+            for _ in range(12):
+                lat = random_lattice(rng, max_states=12, token=token)
+                for beam in (None, 1, 3, 50):
+                    for n in (1, 2, 5):
+                        weights = {} if rng.random() < 0.5 else {"lm_weight": 0.5,
+                                                                 "trans_weight": 0.5}
+                        got = X.nbest(lat, model, n, beam=beam, **weights).ranked
+                        assert got == _reference_nbest(lat, model, n, beam=beam, **weights)
+
+    def test_tokens_for_called_once_per_expanded_edge(self, rng):
+        class Counting:
+            def __init__(self, model):
+                self.model, self.calls = model, 0
+
+            def tokens_for(self, tok):
+                self.calls += 1
+                return self.model.tokens_for(tok)
+
+            def __getattr__(self, name):
+                return getattr(self.model, name)
+
+        for _ in range(10):
+            lat = random_lattice(rng, max_states=10)
+            model = Counting(random_model(rng))
+            X.nbest(lat, model, 5)
+            # Exact search reaches every state, so every edge is expanded.
+            assert model.calls == len(lat.transitions)
+            model.calls = 0
+            X.nbest(lat, model, 5, beam=2)
+            assert model.calls <= len(lat.transitions)

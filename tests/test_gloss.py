@@ -73,6 +73,7 @@ class TestParse:
     def test_deep_or_text_parses(self):
         g = G.parse_gloss(deep_or_text(1200))
         assert L.path_count(G.compile_gloss(g)) == G.denoted_count(g) == 1201
+        assert repr(g) == "Alt([" * 1200 + "Leaf(a)" + ", Leaf(b)])" * 1200
 
 class TestCompile:
     def test_seq_alt_spellings(self):

@@ -241,8 +241,15 @@ class TestTreeFile:
             pad = "  " * (2 * d)
             lines.append("%snode f%d default=x DEF:1 INDEF:0 NONE:0\n%s  value x\n" % (pad, d, pad))
         lines.append("  " * (2 * depth) + "leaf DEF:0 INDEF:1 NONE:0\n")
-        tree = PE.load_tree(io.StringIO("".join(lines)))
+        text = "".join(lines)
+        tree = PE.load_tree(io.StringIO(text))
         assert PE.classify(tree, {}) == "INDEF"
+        saved = io.StringIO()
+        PE.save_tree(tree, saved)
+        assert saved.getvalue() == text
+        again = io.StringIO()
+        PE.save_tree(PE.load_tree(io.StringIO(saved.getvalue())), again)
+        assert again.getvalue() == text
 
     def test_instances_file_round_trip(self, lexicon):
         _docs, inst = PE.prepare(article_corpus(), lexicon)
