@@ -89,15 +89,16 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
     start_ctx = model.start_context()
 
     # Longest-path rank from the start; hypotheses are pooled and pruned
-    # per rank layer when the beam is on.
-    rank = {s: 0 for s in lat.states}
+    # per rank layer when the beam is on.  Final ranks last: every state
+    # of a validated lattice reaches it.
+    rank = [0] * lat.n
     for s in lat._order:
         for (_a, dst, _t, _w) in lat.out_edges(s):
             rank[dst] = max(rank[dst], rank[s] + 1)
 
     # state -> {(context, spelled, prev_frag): hyp}; prev_frag (the last
     # token was a fragment) decides whether the next piece gets a space.
-    pending = {s: {} for s in lat.states}
+    pending = [{} for _ in lat.states]
     start_h = _Hyp(lat.start, start_ctx, 0.0, 0.0, "", 0)
     pending[lat.start][(start_ctx, "", False)] = start_h
 
@@ -130,27 +131,24 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
             return ca > cb
         return a.ntokens < b.ntokens
 
-    layers = {}
+    layers = [[] for _ in range(rank[lat.final] + 1)]
     for s in lat._order:
-        layers.setdefault(rank[s], []).append(s)
+        layers[rank[s]].append(s)
 
     finals = {}
-    for r in sorted(layers):
-        states = layers[r]
+    for states in layers:
         for s in states:
             pending[s] = keep_top(pending[s])
         if beam is not None:
             pool = [(s, key, h) for s in states for key, h in pending[s].items()]
             if len(pool) > beam:
                 pool.sort(key=lambda item: (-_combined(item[2], lm_weight, trans_weight),
-                                            item[1][1], str(item[0])))
-                keep = set()
-                for s, key, h in pool[:beam]:
-                    keep.add((s, key))
+                                            item[1][1], item[0]))
+                keep = {(s, key) for s, key, _h in pool[:beam]}
                 for s in states:
                     pending[s] = {key: h for key, h in pending[s].items() if (s, key) in keep}
         for s in states:
-            hyps = pending.pop(s)
+            hyps, pending[s] = pending[s], None
             if s == lat.final:
                 for (_ctx, spelled, _pf), h in hyps.items():
                     score = h.lm + model.end_logprob(h.context)
@@ -219,10 +217,7 @@ def random_path(lat, seed) -> L.WordPath:
     tokens = []
     weight = 0.0
     while state != lat.final:
-        edges = lat.out_edges(state)
-        if not edges:
-            raise ExtractError("walk stranded at state %r" % (state,))
-        t = edges[rng.randrange(len(edges))]
+        t = rng.choice(lat.out_edges(state))
         tokens.append(t[2])
         weight += t[3]
         state = t[1]

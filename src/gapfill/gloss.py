@@ -298,14 +298,14 @@ def apply_morphology(lat: Lattice, table=None) -> Lattice:
     morph_edges = [t for t in lat.transitions if t[2].kind == lattice.MORPH]
     if not morph_edges:
         return lat
-    incoming = {}
+    incoming = [[] for _ in lat.states]
     for t in lat.transitions:
-        incoming.setdefault(t[1], []).append(t)
+        incoming[t[1]].append(t)
 
     keep = [t for t in lat.transitions if t[2].kind != lattice.MORPH]
     added = []
     for (src, dst, tok, w) in morph_edges:
-        words = [t for t in incoming.get(src, []) if t[2].kind == lattice.WORD]
+        words = [t for t in incoming[src] if t[2].kind == lattice.WORD]
         if not words:
             raise GlossError("morph %s at state %s has no preceding word" % (tok.text, src))
         for (wsrc, _wdst, wtok, ww) in words:
@@ -325,8 +325,11 @@ def apply_morphology(lat: Lattice, table=None) -> Lattice:
         if len(pruned) == len(trans):
             break
         trans = pruned
-    states = {lat.start, lat.final} | {t[0] for t in trans} | {t[1] for t in trans}
-    out = lattice.build(states, lat.start, lat.final, trans)
+    # Number the surviving states densely, keeping their relative order.
+    alive = sorted({lat.start, lat.final} | {t[0] for t in trans} | {t[1] for t in trans})
+    ids = {s: i for i, s in enumerate(alive)}
+    out = lattice.build(range(len(alive)), ids[lat.start], ids[lat.final],
+                        [(ids[s], ids[d], tok, w) for (s, d, tok, w) in trans])
     v = lattice.validate(out)
     if v is not None:
         raise GlossError("morphology produced an invalid lattice (%s)" % v)

@@ -1,15 +1,16 @@
 """Word lattices: acyclic state-transition networks over word-like tokens.
 
-A lattice has one start and one final state; every start-to-final path
-spells a candidate token sequence.  Lattices are the exchange structure
-between the glosser, the transliterator, and the n-best extractor.
-Weights are log10 scores carried on transitions (0.0 = probability one).
+A lattice has states 0..n-1, one start and one final state; every
+start-to-final path spells a candidate token sequence.  Lattices are the
+exchange structure between the glosser, the transliterator, and the
+n-best extractor.  Weights are log10 scores carried on transitions
+(0.0 = probability one).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
@@ -107,7 +108,7 @@ def fragment(letters: str) -> Token:
 class Violation:
     """First invariant broken by a lattice, with the ids involved."""
 
-    kind: str  # "duplicate-state" | "unknown-state" | "cycle" | "unreachable" | "dead-end" | "start-final"
+    kind: str  # "cycle" | "unreachable" | "dead-end"
     detail: str
 
     def __str__(self):
@@ -115,35 +116,32 @@ class Violation:
 
 
 class Lattice:
-    """Directed acyclic lattice.  Immutable once validated."""
+    """Directed acyclic lattice over states 0..n-1.  Immutable once validated."""
 
-    def __init__(self, states, start, final, transitions):
-        self.states = frozenset(states)
-        self.start = start
-        self.final = final
+    def __init__(self, n, start, final, transitions):
+        self.n = n
+        self.states = range(n)
+        self.start = int(start)
+        self.final = int(final)
         # (src, dst, Token, weight), kept in insertion order.
         self.transitions = tuple(
-            (src, dst, tok, float(w)) for (src, dst, tok, w) in transitions
+            (int(src), int(dst), tok, float(w)) for (src, dst, tok, w) in transitions
         )
         self._validated = False
         self._order = None  # topological order, filled in by validate()
-        self._index()
+        # One tuple of out-arcs per state, ordered for deterministic walks.
+        adj = [[] for _ in self.states]
+        for t in self.transitions:
+            adj[t[0]].append(t)
+        self._adj = tuple(tuple(sorted(ts, key=lambda t: (t[2].sort_key(), t[1], t[3])))
+                          for ts in adj)
 
     @property
     def validated(self) -> bool:
         return self._validated
 
     def out_edges(self, state):
-        return self._adj.get(state, ())
-
-    def _index(self):
-        adj = defaultdict(list)
-        for t in self.transitions:
-            adj[t[0]].append(t)
-        # Deterministic traversal order for enumeration and random walks.
-        for src in adj:
-            adj[src].sort(key=lambda t: (t[2].sort_key(), str(t[1]), t[3]))
-        self._adj = {s: tuple(ts) for s, ts in adj.items()}
+        return self._adj[state]
 
     def ensure_validated(self):
         if not self._validated:
@@ -153,24 +151,23 @@ class Lattice:
 def build(states, start, final, transitions) -> Lattice:
     """Assemble an unvalidated lattice; explicit validate() comes after.
 
-    Raises LatticeError for duplicate state ids or transitions that
-    reference unknown states.
+    Raises LatticeError unless states are exactly 0..n-1 in order and
+    start, final and every transition endpoint are among them.
     """
-    seen = set()
-    for s in states:
-        if s in seen:
-            raise LatticeError("duplicate state id: %r" % (s,))
-        seen.add(s)
-    if start not in seen:
+    states = list(states)
+    ids = range(len(states))
+    if states != list(ids):
+        raise LatticeError("states must be 0..n-1 in order, got %r" % (states,))
+    if start not in ids:
         raise LatticeError("start state %r not among states" % (start,))
-    if final not in seen:
+    if final not in ids:
         raise LatticeError("final state %r not among states" % (final,))
     for (src, dst, tok, w) in transitions:
-        if src not in seen or dst not in seen:
+        if src not in ids or dst not in ids:
             raise LatticeError("transition %r -> %r references unknown state" % (src, dst))
         if not isinstance(tok, Token):
             raise LatticeError("transition label must be a Token, got %r" % (tok,))
-    return Lattice(seen, start, final, transitions)
+    return Lattice(len(ids), start, final, transitions)
 
 
 def validate(lat: Lattice):
@@ -181,44 +178,39 @@ def validate(lat: Lattice):
     Violation found.  Violations are values, not exceptions.
     """
     # Kahn topological sort doubles as the cycle check.
-    indeg = {s: 0 for s in lat.states}
-    for (src, dst, _tok, _w) in lat.transitions:
-        indeg[dst] += 1
-    queue = deque(sorted((s for s, d in indeg.items() if d == 0), key=str))
+    n, adj = lat.n, lat._adj
+    indeg = [0] * n
+    for t in lat.transitions:
+        indeg[t[1]] += 1
+    queue = deque(s for s in range(n) if indeg[s] == 0)
     order = []
     while queue:
         s = queue.popleft()
         order.append(s)
-        for (_src, dst, _tok, _w) in lat.out_edges(s):
+        for (_src, dst, _tok, _w) in adj[s]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
                 queue.append(dst)
-    if len(order) != len(lat.states):
-        stuck = sorted((s for s, d in indeg.items() if d > 0), key=str)
+    if len(order) != n:
+        stuck = [s for s in range(n) if indeg[s] > 0]
         return Violation("cycle", "states on a cycle: %s" % ", ".join(map(str, stuck)))
 
-    reachable = {lat.start}
+    # Reachability forward over the topological order, co-reachability backward.
+    reachable = [False] * n
+    reachable[lat.start] = True
     for s in order:
-        if s in reachable:
-            for (_src, dst, _tok, _w) in lat.out_edges(s):
-                reachable.add(dst)
-    coreach = {lat.final}
-    back = defaultdict(list)
-    for (src, dst, _tok, _w) in lat.transitions:
-        back[dst].append(src)
-    stack = [lat.final]
-    while stack:
-        s = stack.pop()
-        for p in back.get(s, ()):
-            if p not in coreach:
-                coreach.add(p)
-                stack.append(p)
-    alive = reachable & coreach
-    dead = lat.states - alive
-    if dead:
-        s = sorted(dead, key=str)[0]
-        kind = "unreachable" if s not in reachable else "dead-end"
-        return Violation(kind, "state %s is on no start-final path" % (s,))
+        if reachable[s]:
+            for t in adj[s]:
+                reachable[t[1]] = True
+    coreach = [False] * n
+    coreach[lat.final] = True
+    for s in reversed(order):
+        if not coreach[s]:
+            coreach[s] = any(coreach[t[1]] for t in adj[s])
+    for s in range(n):
+        if not (reachable[s] and coreach[s]):
+            kind = "unreachable" if not reachable[s] else "dead-end"
+            return Violation(kind, "state %d is on no start-final path" % s)
 
     lat._order = tuple(order)
     lat._validated = True
@@ -236,7 +228,7 @@ def _validated_copy(states, start, final, transitions) -> Lattice:
 def path_count(lat: Lattice) -> int:
     """Exact number of start-final transition sequences, one DP pass."""
     lat.ensure_validated()
-    ways = {s: 0 for s in lat.states}
+    ways = [0] * lat.n
     ways[lat.start] = 1
     for s in lat._order:
         w = ways[s]
@@ -342,7 +334,7 @@ def union(a: Lattice, b: Lattice) -> Lattice:
     # b's inner states follow a's final; its start and final merge into a's.
     ib = _topo_ids(b, final)
     ib[b.start], ib[b.final] = 0, final
-    return _validated_copy(range(len(ia) + len(ib) - 2), 0, final, _arcs(a, ia) + _arcs(b, ib))
+    return _validated_copy(range(a.n + b.n - 2), 0, final, _arcs(a, ia) + _arcs(b, ib))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +416,8 @@ def _split_fields(line: str):
 
 def write_lattice(lat: Lattice, fp):
     lat.ensure_validated()
-    ids = {s: i for i, s in enumerate(lat._order)}
-    fp.write("LATTICE v1 %d %d %d\n" % (len(ids), ids[lat.start], ids[lat.final]))
+    ids = _topo_ids(lat)
+    fp.write("LATTICE v1 %d %d %d\n" % (lat.n, ids[lat.start], ids[lat.final]))
     for (src, dst, tok, w) in lat.transitions:
         fp.write("%d %d %s %s\n" % (ids[src], ids[dst], _format_token(tok), repr(w)))
 

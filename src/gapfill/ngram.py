@@ -56,6 +56,14 @@ EPS_FALLBACK = 0.05
 SWITCH_SIGMAS = 1.65
 
 
+def _sum(values):
+    """Left-to-right float sum; from Python 3.12 on, sum() compensates rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class ModelError(Exception):
     """Bad training input or a damaged model file."""
 
@@ -178,17 +186,17 @@ class FreqOfFreq:
             xs = [math.log10(r) for r in self.ranks]
             ys = [math.log10(self.n_r[r]) for r in self.ranks]
             n = len(xs)
-            mx = sum(xs) / n
-            my = sum(ys) / n
-            denom = sum((x - mx) ** 2 for x in xs)
+            mx = _sum(xs) / n
+            my = _sum(ys) / n
+            denom = _sum((x - mx) ** 2 for x in xs)
             if denom == 0.0:
                 raise ModelError("regression needs two distinct count ranks")
-            b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
+            b = _sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
             self._fit = (my - b * mx, b)
         return self._fit
 
     def smoothed(self, r: int) -> float:
-        """Regression estimate of N_r (the Z_r curve), defined for all r >= 1."""
+        """N_r on the line fit() regresses on raw log10 N_r, for all r >= 1."""
         a, b = self.fit()
         return 10.0 ** (a + b * math.log10(r))
 
@@ -251,7 +259,7 @@ class _Smoother:
             if switched:
                 adjusted[r] = y
         # Renormalize so seen mass is exactly 1 - N_1/N.
-        seen = sum(fof.n_r[r] * adjusted[r] for r in fof.ranks)
+        seen = _sum(fof.n_r[r] * adjusted[r] for r in fof.ranks)
         scale = (1.0 - self.unseen_mass) * fof.total / seen
         return {r: c * scale for r, c in adjusted.items()}
 
@@ -366,13 +374,13 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
     for (w,), c in uni.items():
         seen_ps[w] = sm.seen_prob(c, denom, len(uni), vsize)
     unseen = [w for w in vocab if w not in seen_ps]
-    rest = 1.0 - sum(seen_ps.values())
+    rest = 1.0 - _sum(seen_ps.values())
     if unseen:
         share = rest / len(unseen)
         for w in unseen:
             seen_ps[w] = share
     else:
-        scale = 1.0 / sum(seen_ps.values())
+        scale = 1.0 / _sum(seen_ps.values())
         seen_ps = {w: p * scale for w, p in seen_ps.items()}
     probs[1] = {(w,): math.log10(p) for w, p in seen_ps.items()}
     lower_linear = seen_ps  # {token: prob}, full vocabulary
@@ -385,12 +393,11 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
             by_hist.setdefault(gram[:-1], []).append((gram[-1], c))
         level = {}
         alphas = {}
-        next_linear_cache = {}
         for hist in sorted(by_hist):
             pairs = by_hist[hist]
             denom = sum(c for _w, c in pairs)
             ps = {w: sm.seen_prob(c, denom, len(pairs), vsize) for w, c in pairs}
-            total_seen = sum(ps.values())
+            total_seen = _sum(ps.values())
             if total_seen >= 1.0 - 1e-9:
                 # Numerical guard: leave a sliver for unseen events so
                 # strict positivity survives aggressive smoothing.
@@ -398,8 +405,8 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
                 ps = {w: p * scale for w, p in ps.items()}
                 total_seen = 1.0 - 1e-9
             leftover = 1.0 - total_seen
-            seen_lower = sum(_linear_prob(lower_linear, probs, backoffs, k - 1, w, hist[1:])
-                             for w in ps)
+            seen_lower = _sum(_linear_prob(lower_linear, probs, backoffs, k - 1, w, hist[1:])
+                              for w in ps)
             d = 1.0 - seen_lower
             alphas[hist] = math.log10(leftover) - math.log10(d)
             for w, p in ps.items():

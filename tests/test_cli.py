@@ -88,6 +88,13 @@ class TestPipelines:
         assert out.splitlines()[0].split("\t")[1] == \
             "the new company plans to establish in February ."
 
+    def test_mandatory_plural_gloss_compiles(self, tmp_path, capsys):
+        path = tmp_path / "plural.gloss"
+        path.write_text('(GLOSS ((OP1 "a") (OP2 "dog") (OP3 "+plural") (OP4 "b")))\n')
+        status, out, _err = run(capsys, "gloss", "compile", str(path))
+        assert status == 0
+        assert out == "LATTICE v1 4 0 3\n0 1 a 0.0\n2 3 b 0.0\n1 2 dogs 0.0\n"
+
     def test_extract_on_bundled_fixture(self, capsys):
         status, out, _err = run(capsys, "extract", str(fixtures.path("s8.lat")),
                                 "--model", str(fixtures.path("s8.lm")), "--n", "1")

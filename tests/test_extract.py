@@ -194,7 +194,7 @@ def _reference_nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0):
                 pending[s] = keep_top(pending[s])
                 pool.extend((s, key, h) for key, h in pending[s].items())
             if len(pool) > beam:
-                pool.sort(key=lambda item: (-combined(item[2]), item[1][1], str(item[0])))
+                pool.sort(key=lambda item: (-combined(item[2]), item[1][1], item[0]))
                 keep = {(s, key) for s, key, _h in pool[:beam]}
                 for s in states:
                     pending[s] = {key: h for key, h in pending[s].items() if (s, key) in keep}

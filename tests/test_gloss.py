@@ -115,7 +115,7 @@ class TestCompile:
         lat = G.compile_gloss(g)
         assert time.perf_counter() - t0 < 5.0
         assert L.path_count(lat) == G.denoted_count(g) == 2 ** k
-        assert lat.states == frozenset(range(len(lat.states)))
+        assert lat.states == range(len(lat.states))
 
 
 def _sample_spellings(lat, prefix):
@@ -171,6 +171,13 @@ class TestMorphology:
     def test_y_to_ies(self):
         lat = self._compile('(GLOSS ((OP1 "policy") (OP2 "+plural")))')
         assert spellings(G.apply_morphology(lat)) == ["policies"]
+
+    def test_mandatory_plural_keeps_states_dense(self):
+        # The marker's source state drops out; the survivors renumber in order.
+        lat = self._compile('(GLOSS ((OP1 "a") (OP2 "dog") (OP3 "+plural") (OP4 "b")))')
+        out = G.apply_morphology(lat)
+        assert out.states == range(4)
+        assert spellings(out) == ["a dogs b"]
 
     def test_plural_applies_to_every_preceding_word(self):
         lat = self._compile(

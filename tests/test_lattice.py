@@ -54,10 +54,30 @@ class TestBuild:
     def test_transition_to_unknown_state_is_error(self):
         with pytest.raises(L.LatticeError):
             L.build([0, 1], 0, 1, [(0, 2, L.word("a"), 0.0)])
+        with pytest.raises(L.LatticeError):
+            L.build([0, 1], 0, 1, [(-1, 1, L.word("a"), 0.0)])
+        for start, final in ((2, 1), (-1, 1), (0, 2), (0, -1)):
+            with pytest.raises(L.LatticeError):
+                L.build([0, 1], start, final, [])
 
     def test_duplicate_state_id_is_error(self):
-        with pytest.raises(L.LatticeError):
-            L.build([0, 0, 1], 0, 1, [])
+        # States must be exactly 0..n-1 in order.
+        for states in ([0, 0, 1], [0, 2], ["a", "b"], [1, 0]):
+            with pytest.raises(L.LatticeError):
+                L.build(states, states[0], states[0], [])
+
+    def test_out_edges_and_written_ids_follow_numeric_order(self):
+        # State 0 fans out over identical arcs to 1..10: ties break on
+        # the target as a number, so 2 comes before 10.
+        trans = [(0, i, L.word("a"), 0.0) for i in range(1, 11)]
+        trans += [(i, 11, L.word("b"), 0.0) for i in range(1, 11)]
+        lat = L.build(range(12), 0, 11, trans)
+        assert L.validate(lat) is None
+        assert [t[1] for t in lat.out_edges(0)] == list(range(1, 11))
+        buf = io.StringIO()
+        L.write_lattice(lat, buf)
+        assert buf.getvalue().splitlines()[1:] == \
+            ["%d %d %s 0.0" % (s, d, t.text) for (s, d, t, _w) in trans]
 
     def test_diamond_has_two_paths(self):
         assert L.path_count(diamond()) == 2
