@@ -96,6 +96,10 @@ def _cmd_lm(args):
             model = ngram.good_turing(ngram.train(corpus, args.order))
         except ngram.ModelError as e:
             raise _Fail(DOMAIN_STATUS, str(e))
+        for warning in model.warnings:
+            order, fallback = warning.split(":", 1)
+            sys.stderr.write("gapfill: warning: order %s smoothing fallback %s\n"
+                             % (order, fallback))
         out = _out_stream(args)
         ngram.save(model, out)
         if out is not sys.stdout:

@@ -31,6 +31,7 @@ __all__ = [
     "concat",
     "union",
     "spell",
+    "spelling",
     "write_lattice",
     "read_lattice",
     "REGISTERED_MORPH_TAGS",
@@ -249,6 +250,16 @@ class WordPath:
         return spell(self.tokens)
 
 
+def spelling(tok: Token) -> str:
+    """The text one token contributes to a spelled sentence: nothing for
+    an empty token, the surface word for a class mark, else its text."""
+    if tok.kind == EMPTY:
+        return ""
+    if tok.kind == CLASS:
+        return tok.surface or tok.text
+    return tok.text
+
+
 def spell(tokens) -> str:
     """Render a token sequence as text.
 
@@ -261,15 +272,10 @@ def spell(tokens) -> str:
     for t in tokens:
         if t.kind == EMPTY:
             continue
-        if t.kind == FRAG:
-            piece, frag = t.text, True
-        elif t.kind == CLASS:
-            piece, frag = (t.surface or t.text), False
-        else:
-            piece, frag = t.text, False
+        frag = t.kind == FRAG
         if pieces and not frag and not prev_frag:
             pieces.append(" ")
-        pieces.append(piece)
+        pieces.append(spelling(t))
         prev_frag = frag
     return "".join(pieces)
 

@@ -208,20 +208,16 @@ class _Smoother:
         self.fof = fof
         self.warning = None
         n = fof.total
-        if len(fof.ranks) < 2:
-            if fof.n_1 == 0:
-                self.mode = "add-eps"
-                self.warning = "no-singletons"
-            else:
-                # All n-grams are singletons; raw GT would zero them out.
-                self.mode = "held-out"
-                self.warning = "degenerate-ranks"
-            self.unseen_mass = eps
-            self.eps = eps
-            return
         if fof.n_1 == 0:
             self.mode = "add-eps"
             self.warning = "no-singletons"
+            self.unseen_mass = eps
+            self.eps = eps
+            return
+        if len(fof.ranks) < 2:
+            # All n-grams are singletons; raw GT would zero them out.
+            self.mode = "held-out"
+            self.warning = "degenerate-ranks"
             self.unseen_mass = eps
             self.eps = eps
             return
@@ -307,7 +303,7 @@ class NGramModel:
             return []
         if self.mode == "letters":
             if tok.kind == L.FRAG:
-                return [BOUNDARY if c == " " else c for c in tok.text]
+                return letters(tok.text)
             raise ModelError("letter models only score fragment lattices (got %s)" % tok.kind)
         if tok.kind == L.CLASS:
             return [tok.text]

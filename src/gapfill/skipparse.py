@@ -27,6 +27,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .ngram import _sum
+
 __all__ = [
     "GrammarError",
     "Grammar",
@@ -539,7 +541,7 @@ def skip_parse(tokens, grammar: Grammar, table: SuspicionTable,
     for k in range(max(1, fewest), most + 1):
         candidates = []
         for subset in itertools.combinations(range(n), k):
-            candidates.append((-sum(susp[i] for i in subset), subset))
+            candidates.append((-_sum(susp[i] for i in subset), subset))
         candidates.sort()
         for _neg, subset in candidates:
             if explored >= budget.max_candidates:

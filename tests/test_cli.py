@@ -88,6 +88,13 @@ class TestPipelines:
         assert out.splitlines()[0].split("\t")[1] == \
             "the new company plans to establish in February ."
 
+    def test_lm_train_reports_smoothing_fallbacks(self, capsys):
+        status, out, err = run(capsys, "lm", "train", str(fixtures.path("s8_corpus.txt")))
+        assert status == 0
+        # The warning goes to stderr; the model on stdout is the bundled one.
+        assert err == "gapfill: warning: order 1 smoothing fallback sgt-slope\n"
+        assert out == fixtures.path("s8.lm").read_text()
+
     def test_mandatory_plural_gloss_compiles(self, tmp_path, capsys):
         path = tmp_path / "plural.gloss"
         path.write_text('(GLOSS ((OP1 "a") (OP2 "dog") (OP3 "+plural") (OP4 "b")))\n')

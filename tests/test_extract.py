@@ -98,6 +98,23 @@ class TestBeam:
             model = random_model(rng)
             assert X.nbest(lat, model, 3, beam=10000).ranked == X.nbest(lat, model, 3).ranked
 
+    def test_empty_spelling_takes_one_beam_slot(self):
+        # The start reaches state 1 by an *empty* arc and by an empty
+        # fragment: one spelling, "", which must hold one beam slot, not
+        # two, so that "x" at state 2 survives the beam of 2.
+        lat = L.build([0, 1, 2, 3], 0, 3, [
+            (0, 1, L.empty(), 0.0), (0, 1, L.fragment(""), 0.0),
+            (0, 2, L.fragment("x"), 0.0),
+            (1, 3, L.fragment("a"), 0.0), (2, 3, L.fragment("b"), 0.0),
+        ])
+        L.validate(lat)
+        model = fixtures.letter_model()
+        got = X.nbest(lat, model, 2, beam=2).ranked
+        oracle = X.brute_force_nbest(lat, model, 2).ranked
+        assert [s for s, _ in got] == [s for s, _ in oracle] == ["a", "xb"]
+        for (_, a), (_, b) in zip(got, oracle):
+            assert a == pytest.approx(b, abs=1e-9)
+
 
 class TestRandomPath:
     def test_single_path_any_seed(self):
@@ -141,11 +158,43 @@ class TestClassSurfaceRestoration:
         assert res.ranked[0][1] == pytest.approx(expected, abs=1e-12)
 
 
+class _Hyp:
+    __slots__ = ("state", "context", "lm", "wt", "spelled", "ntokens")
+
+    def __init__(self, state, context, lm, wt, spelled, ntokens):
+        self.state = state
+        self.context = context
+        self.lm = lm
+        self.wt = wt
+        self.spelled = spelled
+        self.ntokens = ntokens
+
+
+def _combined(h, lm_weight, trans_weight):
+    return lm_weight * h.lm + trans_weight * h.wt
+
+
+def _extend_spelling(spelled, prev_frag, tok):
+    """lattice.spell one token at a time. Returns (text, trailing_frag)."""
+    if tok.kind == L.EMPTY:
+        return spelled, prev_frag
+    if tok.kind == L.FRAG:
+        piece, frag = tok.text, True
+    elif tok.kind == L.CLASS:
+        piece, frag = (tok.surface or tok.text), False
+    else:
+        piece, frag = tok.text, False
+    if spelled and not frag and not prev_frag:
+        return spelled + " " + piece, frag
+    return spelled + piece, frag
+
+
 def _reference_nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0):
-    """The same search without shared edge steps: every hypothesis asks
-    the model for the edge's tokens and LM increments, and the beam path
-    runs keep_top twice.  The reference X.nbest must match exactly,
-    floats included."""
+    """The same search one hypothesis object at a time, without shared
+    edge steps: every hypothesis asks the model for the edge's tokens and
+    LM increments, recomputes its combined score at each comparison, and
+    tracks whether its spelling ends in a fragment; the beam path runs
+    keep_top twice.  X.nbest must match it exactly, floats included."""
     csize = model.context_size
     start_ctx = model.start_context()
     rank = {s: 0 for s in lat.states}
@@ -153,10 +202,10 @@ def _reference_nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0):
         for (_a, dst, _t, _w) in lat.out_edges(s):
             rank[dst] = max(rank[dst], rank[s] + 1)
     pending = {s: {} for s in lat.states}
-    pending[lat.start][(start_ctx, "", False)] = X._Hyp(lat.start, start_ctx, 0.0, 0.0, "", 0)
+    pending[lat.start][(start_ctx, "", False)] = _Hyp(lat.start, start_ctx, 0.0, 0.0, "", 0)
 
     def combined(h):
-        return X._combined(h, lm_weight, trans_weight)
+        return _combined(h, lm_weight, trans_weight)
 
     def better(a, b):
         ca, cb = combined(a), combined(b)
@@ -202,8 +251,8 @@ def _reference_nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0):
             hyps = keep_top(pending[s])
             if s == lat.final:
                 for (_ctx, spelled, _pf), h in hyps.items():
-                    done = X._Hyp(s, h.context, h.lm + model.end_logprob(h.context), h.wt,
-                                  spelled, h.ntokens)
+                    done = _Hyp(s, h.context, h.lm + model.end_logprob(h.context), h.wt,
+                                spelled, h.ntokens)
                     cur = finals.get(spelled)
                     if cur is None or better(done, cur):
                         finals[spelled] = done
@@ -215,8 +264,9 @@ def _reference_nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0):
                         lm += model.logprob_model(mt, tuple(c))
                         if csize:
                             c = (c + [mt])[-csize:]
-                    ns, nf = X._extend_spelling(spelled, pf, tok)
-                    nh = X._Hyp(dst, tuple(c), lm, h.wt + w, ns, h.ntokens + 1)
+                    ns, nf = _extend_spelling(spelled, pf, tok)
+                    nf = nf and bool(ns)  # no space ever follows an empty spelling
+                    nh = _Hyp(dst, tuple(c), lm, h.wt + w, ns, h.ntokens + 1)
                     cur = pending[dst].get((tuple(c), ns, nf))
                     if cur is None or better(nh, cur):
                         pending[dst][(tuple(c), ns, nf)] = nh
