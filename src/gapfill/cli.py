@@ -67,6 +67,16 @@ def _seed(default):
         raise _Fail(USAGE_STATUS, "GAPFILL_SEED must be an integer")
 
 
+def _count(text):
+    """argparse type of a count: an integer of 0 or more."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected an integer of 0 or more, got %r" % text)
+
+
 def _out_stream(args):
     return _open_write(args.output) if getattr(args, "output", None) else sys.stdout
 
@@ -92,10 +102,7 @@ def _cmd_gloss(args):
 def _cmd_lm(args):
     if args.action == "train":
         corpus = _load(args.corpus, lambda f: [ln for ln in f.read().splitlines() if ln.strip()])
-        try:
-            model = ngram.good_turing(ngram.train(corpus, args.order))
-        except ngram.ModelError as e:
-            raise _Fail(DOMAIN_STATUS, str(e))
+        model = ngram.good_turing(ngram.train(corpus, args.order))
         for warning in model.warnings:
             order, fallback = warning.split(":", 1)
             sys.stderr.write("gapfill: warning: order %s smoothing fallback %s\n"
@@ -118,10 +125,7 @@ def _cmd_lm(args):
 def _cmd_extract(args):
     model = _load(args.model, ngram.load)
     lat = _load(args.lattice, lattice.read_lattice)
-    try:
-        result = extract.nbest(lat, model, args.n, beam=args.beam)
-    except (extract.ExtractError, ngram.ModelError, lattice.LatticeError) as e:
-        raise _Fail(DOMAIN_STATUS, str(e))
+    result = extract.nbest(lat, model, args.n, beam=args.beam)
     for sentence, score in result.ranked:
         sys.stdout.write("%s\t%s\n" % (repr(score), sentence))
     return 0
@@ -146,10 +150,7 @@ def _cmd_prefsem(args):
 def _cmd_translit(args):
     if args.action == "train":
         pairs = _load(args.pairs, translit.read_pairs)
-        try:
-            table = translit.train_table(pairs)
-        except translit.TranslitError as e:
-            raise _Fail(DOMAIN_STATUS, str(e))
+        table = translit.train_table(pairs)
         out = _out_stream(args)
         translit.write_table(table, out)
         if out is not sys.stdout:
@@ -157,11 +158,7 @@ def _cmd_translit(args):
         return 0
     table = _load(args.table, translit.read_table)
     model = _load(args.lm, ngram.load)
-    try:
-        ranked = translit.back_transliterate(args.text, table, model,
-                                             n=args.n, lam=args.lam)
-    except (translit.TranslitError, ngram.ModelError) as e:
-        raise _Fail(DOMAIN_STATUS, str(e))
+    ranked = translit.back_transliterate(args.text, table, model, n=args.n, lam=args.lam)
     for s, score in ranked:
         sys.stdout.write("%s\t%s\n" % (repr(score), s))
     return 0
@@ -173,11 +170,8 @@ def _cmd_skipparse(args):
         table = _load(args.suspicion, skipparse.read_suspicion)
     elif args.parsed and args.unparsed:
         lines = lambda f: [ln for ln in f.read().splitlines() if ln.strip()]
-        try:
-            table = skipparse.suspicion_train(_load(args.parsed, lines),
-                                              _load(args.unparsed, lines), grammar)
-        except skipparse.GrammarError as e:
-            raise _Fail(DOMAIN_STATUS, str(e))
+        table = skipparse.suspicion_train(_load(args.parsed, lines),
+                                          _load(args.unparsed, lines), grammar)
     else:
         table = skipparse.SuspicionTable({}, 0.0)
     budget = skipparse.SkipBudget(max_skips=args.max_skips)
@@ -201,11 +195,8 @@ def _cmd_postedit(args):
         else fixtures.noun_lexicon()
     if args.action == "train":
         corpus = _load(args.corpus, lambda f: [ln for ln in f.read().splitlines() if ln.strip()])
-        try:
-            _stripped, instances = postedit.prepare(corpus, lexicon)
-            tree = postedit.train_tree(instances)
-        except postedit.PosteditError as e:
-            raise _Fail(DOMAIN_STATUS, str(e))
+        _stripped, instances = postedit.prepare(corpus, lexicon)
+        tree = postedit.train_tree(instances)
         out = _out_stream(args)
         postedit.save_tree(tree, out)
         if out is not sys.stdout:
@@ -214,11 +205,7 @@ def _cmd_postedit(args):
     tree = _load(args.tree, postedit.load_tree)
     if args.action == "eval":
         instances = _load(args.heldout, postedit.read_instances)
-        try:
-            acc = postedit.evaluate(tree, instances)
-        except postedit.PosteditError as e:
-            raise _Fail(DOMAIN_STATUS, str(e))
-        sys.stdout.write("accuracy\t%s\n" % repr(acc))
+        sys.stdout.write("accuracy\t%s\n" % repr(postedit.evaluate(tree, instances)))
         return 0
     for line in sys.stdin:
         if not line.strip():
@@ -314,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     sk.add_argument("--suspicion", help="suspicion table TSV")
     sk.add_argument("--parsed", help="parsed corpus, to train suspicion on the fly")
     sk.add_argument("--unparsed", help="unparsed corpus, to train suspicion on the fly")
-    sk.add_argument("--max-skips", type=int, default=3)
+    sk.add_argument("--max-skips", type=_count, default=3)
     sk.set_defaults(func=_cmd_skipparse)
 
     pe = sub.add_parser("postedit", help="article insertion")
@@ -353,10 +340,7 @@ def dispatch(argv) -> int:
     except _Fail as e:
         sys.stderr.write("gapfill: %s\n" % e)
         return e.status
-    except _FORMAT_ERRORS as e:
-        sys.stderr.write("gapfill: %s\n" % e)
-        return DOMAIN_STATUS
-    except extract.ExtractError as e:
+    except _FORMAT_ERRORS + (extract.ExtractError,) as e:
         sys.stderr.write("gapfill: %s\n" % e)
         return DOMAIN_STATUS
 

@@ -379,7 +379,7 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
         scale = 1.0 / _sum(seen_ps.values())
         seen_ps = {w: p * scale for w, p in seen_ps.items()}
     probs[1] = {(w,): math.log10(p) for w, p in seen_ps.items()}
-    lower_linear = seen_ps  # {token: prob}, full vocabulary
+    uni_linear = seen_ps  # {token: prob}, full vocabulary
 
     for k in range(2, table.order + 1):
         sm = smoothers[k]
@@ -401,33 +401,27 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
                 ps = {w: p * scale for w, p in ps.items()}
                 total_seen = 1.0 - 1e-9
             leftover = 1.0 - total_seen
-            seen_lower = _sum(_linear_prob(lower_linear, probs, backoffs, k - 1, w, hist[1:])
-                              for w in ps)
+            # Each seen k-gram's suffix is a seen (k-1)-gram of the same
+            # stream, so the lower order needs no backoff here.
+            try:
+                if k == 2:
+                    seen_lower = _sum(uni_linear[w] for w in ps)
+                else:
+                    seen_lower = _sum(10.0 ** probs[k - 1][hist[1:] + (w,)] for w in ps)
+            except KeyError:
+                raise ModelError("order %d counts after %r lack a lower-order suffix"
+                                 % (k, hist))
             d = 1.0 - seen_lower
             alphas[hist] = math.log10(leftover) - math.log10(d)
             for w, p in ps.items():
                 level[hist + (w,)] = math.log10(p)
         probs[k] = level
         backoffs[k] = alphas
-        lower_linear = None  # only the unigram level keeps a dense map
 
     return NGramModel(table.order, vocab, probs, backoffs, table.classify,
                       table.known, table.mode,
                       {k: smoothers[k].unseen_mass for k in smoothers},
                       warnings)
-
-
-def _linear_prob(uni_linear, probs, backoffs, k, w, ctx):
-    """Linear-space p(w | ctx) against the already-built order-k level."""
-    if k == 1:
-        if uni_linear is not None:
-            return uni_linear[w]
-        return 10.0 ** probs[1][(w,)]
-    entry = probs[k].get(tuple(ctx) + (w,))
-    if entry is not None:
-        return 10.0 ** entry
-    alpha = backoffs[k].get(tuple(ctx), 0.0)
-    return 10.0 ** alpha * _linear_prob(uni_linear, probs, backoffs, k - 1, w, ctx[1:])
 
 
 def logprob(model: NGramModel, token: str, history) -> float:

@@ -9,11 +9,12 @@ boundary markers only in matched pairs whose inner material parses as a
 single constituent.  Suspicion scores come from part-of-speech bigram
 statistics contrasting parsed against unparsed sentences.
 
-The chart indexes constituents by integer bitmasks of where they start
-and end, so a rule's first split is one AND and a lowest set bit.  Before
-enumerating candidates, skip_parse computes k*, the fewest words any
-candidate must drop, from a min-cost chart over the same bitmasks that
-ignores walls and guardrails (after GLR*, Lavie & Tomita 1993).  The
+One routine, _fill, closes chart cells over the binarized rules, with
+integer bitmasks of where constituents start and end, so a binary rule's
+first split is one AND and a lowest set bit.  chart_parse runs it once.
+Before enumerating candidates, skip_parse runs it once per drop count to
+find k*, the fewest words any candidate must drop, from a min-cost chart
+that ignores walls and guardrails (after GLR*, Lavie & Tomita 1993).  The
 search starts at k* skips and returns no parse at once when k* exceeds
 the skip budget; within a skip count the order, and so every result, is
 that of the plain fewest-skips-first search.
@@ -75,20 +76,19 @@ class Grammar:
 
     @functools.cached_property
     def _binarized(self):
-        """The rules as ({left: [(lhs, right), ...]}, [(lhs, sym), ...]):
-        binary rules by their left symbol, then unary rules.  A rule of
-        m > 2 symbols becomes a chain of m - 1 binary rules through fresh
-        symbols (lhs, rule number, position).  Callers must not change it."""
-        by_left, unary = {}, []
+        """The rules as one list of (lhs, left, right) steps.  A rule of
+        m > 2 symbols becomes a chain: its m - 2 inner links derive fresh
+        tuple symbols (lhs, rule number, position) and come first in the
+        list; then comes one step per rule in file order, with right None
+        for a unary rule.  Callers must not change it."""
+        links, steps = [], []
         for r, (lhs, rhs) in enumerate(self.rules):
-            if len(rhs) == 1:
-                unary.append((lhs, rhs[0]))
-                continue
-            for k, sym in enumerate(rhs[:-1]):
-                right = rhs[-1] if k == len(rhs) - 2 else (lhs, r, k + 1)
-                by_left.setdefault(sym, []).append((lhs, right))
-                lhs = right
-        return by_left, unary
+            right = rhs[-1] if len(rhs) > 1 else None
+            for k in range(len(rhs) - 2, 0, -1):
+                links.append(((lhs, r, k), rhs[k], right))
+                right = (lhs, r, k)
+            steps.append((lhs, rhs[0], right))
+        return links + steps
 
     def is_marker(self, token):
         return token in self.markers or token in self.markers.values()
@@ -202,14 +202,12 @@ def chart_parse(tokens, grammar: Grammar) -> ChartResult:
     """Bottom-up chart over the word tokens; success iff the start symbol
     spans them all.  Failure is a value, not an exception.
 
-    Marker tokens are not words: they only contribute walls that spans
+    Marker tokens are not words: they only contribute walls that rules
     must respect.  Unknown words take the grammar's OOV tag set.
 
-    Cells fill by increasing span; each cell takes passes over the rules
-    in grammar order until nothing changes, and each symbol keeps the
-    first split found, leftmost split points first.  Splits are looked
-    up in integer bitmasks: bit k of ends[i][sym] says sym spans (i, k),
-    bit i of begins[j][sym] says it spans (i, j).
+    Cells fill by increasing span (see _fill); each cell keeps, for each
+    symbol, the first rule in grammar order that derives it and that
+    rule's first split, leftmost split points first.
     """
     words, walls, unmatched = _marker_walls(tokens, grammar)
     if unmatched:
@@ -217,72 +215,112 @@ def chart_parse(tokens, grammar: Grammar) -> ChartResult:
     n = len(words)
     if n == 0:
         return ChartResult(False, words=())
-    chart = {}
-    ends = [{} for _ in range(n + 1)]
-    begins = [{} for _ in range(n + 1)]
-    unary = [(lhs, rhs) for lhs, rhs in grammar.rules if len(rhs) == 1]
+    chart = {(i, i + span): {} for span in range(1, n + 1) for i in range(n - span + 1)}
     for i, w in enumerate(words):
         chart[(i, i + 1)] = {tag: ("lex", w) for tag in grammar.tags(w)}
-    for span in range(1, n + 1):
-        for i in range(0, n - span + 1):
-            j = i + span
-            cell = chart.setdefault((i, j), {})
-            if not _span_allowed(i, j, walls):
-                continue
-            rules = grammar.rules
-            while rules:
-                changed = False
-                for lhs, rhs in rules:
-                    if lhs in cell:
-                        continue
-                    if len(rhs) == 1:
-                        bp = ((i, j, rhs[0]),) if rhs[0] in cell else None
-                    else:
-                        bp = _first_split(ends, begins, rhs, i, j)
-                    if bp is not None:
-                        cell[lhs] = ("rule", rhs, bp)
-                        changed = True
-                # Later passes can only add unary rules: longer ones
-                # split into smaller cells, which are complete.
-                rules = unary if changed else ()
-            at_i, at_j = ends[i], begins[j]
-            for sym in cell:
-                at_i[sym] = at_i.get(sym, 0) | 1 << j
-                at_j[sym] = at_j.get(sym, 0) | 1 << i
-    ok = grammar.start in chart.get((0, n), {})
-    tree = _build_tree(chart, grammar.start, 0, n, words) if ok else None
+    splits = {}
+    _fill([_lex_layer(words, grammar)], n, grammar, walls, splits)
+    for (i, j, sym), (left, right, mid) in splits.items():
+        if type(sym) is tuple:
+            continue  # an inner link, read through its rule's first step
+        bp = [(i, mid, left)]
+        while type(right) is tuple:
+            left, right, end = splits[mid, j, right]
+            bp.append((mid, end, left))
+            mid = end
+        if right is not None:
+            bp.append((mid, j, right))
+        chart[(i, j)][sym] = ("rule", tuple(s for _a, _b, s in bp), tuple(bp))
+    ok = grammar.start in chart[(0, n)]
+    tree = _build_tree(chart, grammar.start, 0, n) if ok else None
     return ChartResult(ok, tree, chart, tuple(words))
 
 
-def _first_split(ends, begins, rhs, pos, j, k=0):
-    """First split of [pos, j) into constituents rhs[k:], ordered by the
-    end of rhs[k] first, then by the later split points."""
-    if k == len(rhs) - 2:
-        both = ends[pos].get(rhs[k], 0) & begins[j].get(rhs[k + 1], 0)
-        if not both:
-            return None
-        mid = (both & -both).bit_length() - 1
-        return ((pos, mid, rhs[k]), (mid, j, rhs[k + 1]))
-    last = j - len(rhs) + k + 1  # rhs[k] leaves a word for each later one
-    if last <= pos:
-        return None
-    mids = ends[pos].get(rhs[k], 0) & ((2 << last) - 1)
-    while mids:
-        low = mids & -mids
-        mid = low.bit_length() - 1
-        rest = _first_split(ends, begins, rhs, mid, j, k + 1)
-        if rest is not None:
-            return ((pos, mid, rhs[k]),) + rest
-        mids ^= low
-    return None
+def _lex_layer(words, grammar):
+    """Masks (ends, begins) of the words' tags, before any rule applies."""
+    ends = [{} for _ in range(len(words) + 1)]
+    begins = [{} for _ in range(len(words) + 1)]
+    for i, w in enumerate(words):
+        for tag in grammar.tags(w):
+            ends[i][tag] = 1 << (i + 1)
+            begins[i + 1][tag] = 1 << i
+    return ends, begins
 
 
-def _build_tree(chart, sym, i, j, words):
-    entry = chart[(i, j)][sym]
-    if entry[0] == "lex":
-        return (sym, entry[1])
-    _kind, _rhs, bp = entry
-    return (sym,) + tuple(_build_tree(chart, s, a, b, words) for (a, b, s) in bp)
+def _fill(layers, n, grammar, walls=(), added=None):
+    """Close every cell of the top layer c over grammar._binarized, by
+    increasing span.  layers[d] is (ends, begins) for d drops: bit k of
+    ends[i][sym] says sym derives what is left of words (i, k) after at
+    most d drops, and bit i of begins[k][sym] says the same.  Each layer
+    holds every span of the layers below it.  A binary step adds (i, j)
+    when some split mid has its left symbol over (i, mid) with d drops and
+    its right one over (mid, j) with c - d; at c = 0 the masks of (i, mid)
+    and (mid, j) alone decide it.
+
+    A cell that straddles a wall takes only the inner links of longer
+    rules: walls bound whole rules.  Each symbol keeps the first step in
+    list order that derives it, at its leftmost split; `added`, when
+    given, maps (i, j, symbol) to (left, right, mid) in that order, with
+    mid = j for a unary step.
+    """
+    steps = grammar._binarized
+    links = steps[:len(steps) - len(grammar.rules)]
+    c = len(layers) - 1
+    ends, begins = layers[c]
+    for span in range(1, n + 1):
+        for i in range(n - span + 1):
+            j = i + span
+            at_i, at_j, bit = ends[i], begins[j], 1 << j
+            walled = walls and not _span_allowed(i, j, walls)
+            todo = links if walled else steps
+            while todo:
+                changed = False
+                for lhs, left, right in todo:
+                    # Left corner first: most steps stop here.
+                    if left not in at_i or at_i.get(lhs, 0) & bit:
+                        continue
+                    if right is None:
+                        if not at_i[left] & bit:
+                            continue
+                        mid = j
+                    else:
+                        both = at_i[left] & at_j.get(right, 0)
+                        if not both:
+                            continue
+                        if c:  # here both is a pre-test: find drops d and c - d that fit
+                            for d in range(c + 1):
+                                if (layers[d][0][i].get(left, 0)
+                                        & layers[c - d][1][j].get(right, 0)):
+                                    break
+                            else:
+                                continue
+                        mid = (both & -both).bit_length() - 1
+                    at_i[lhs] = at_i.get(lhs, 0) | bit
+                    at_j[lhs] = at_j.get(lhs, 0) | 1 << i
+                    if added is not None:
+                        added[i, j, lhs] = (left, right, mid)
+                    changed = True
+                # Later passes can only add unary rules: binary ones split
+                # into smaller cells, which are complete, and fail again.
+                todo = steps if changed and not walled else ()
+
+
+def _build_tree(chart, sym, i, j):
+    """The tree of sym over (i, j), built bottom-up from a work stack."""
+    done = []  # finished subtrees, children in order
+    todo = [(sym, i, j, False)]
+    while todo:
+        sym, i, j, ready = todo.pop()
+        entry = chart[(i, j)][sym]
+        if entry[0] == "lex":
+            done.append((sym, entry[1]))
+        elif ready:
+            k = len(entry[2])
+            done[-k:] = [(sym,) + tuple(done[-k:])]
+        else:
+            todo.append((sym, i, j, True))
+            todo.extend((s, a, b, False) for a, b, s in reversed(entry[2]))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,54 +483,20 @@ def _min_skips_bound(tokens, grammar, limit=None):
     gives math.inf: no candidate may drop it, and dropping matched pairs
     never matches it, so no candidate parses.
 
-    A min-cost chart built one drop count c at a time on bitmasks like
-    chart_parse's, over the grammar's binarized rules: bit j of
-    ends[c][i][sym] says sym derives what is left of words (i, j) after at
-    most c drops.  Layer c starts as layer c - 1 with one more edge word
-    dropped; a binary rule then adds a span when some split's drops sum
-    to at most c.
+    A min-cost chart built one drop count c at a time by _fill, without
+    walls: layer c starts as layer c - 1 with one more edge word dropped.
     """
     if _marker_pairs(tokens, grammar)[1]:
         return math.inf
     words = [t for t in tokens if not grammar.is_marker(t)]
     n = len(words)
     top = n if limit is None else min(limit, n)
-    by_left, unary = grammar._binarized
-    ends, begins = [], []
+    layers = [_lex_layer(words, grammar)]
     for c in range(top + 1):
         if c:
-            e, b = _drop_edge_word(ends[-1], begins[-1], n)
-        else:
-            e, b = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
-            for i, w in enumerate(words):
-                for tag in grammar.tags(w):
-                    e[i][tag] = 1 << (i + 1)
-                    b[i + 1][tag] = 1 << i
-        ends.append(e)
-        begins.append(b)
-        for span in range(1, n + 1):
-            for i in range(n - span + 1):
-                j = i + span
-                at_i, at_j, bit = e[i], b[j], 1 << j
-                # a copy, since at_i gains the symbols the rules add
-                for left, left_ends in list(at_i.items()) if span > 1 else ():
-                    for lhs, right in by_left.get(left, ()):
-                        if at_i.get(lhs, 0) & bit or not left_ends & at_j.get(right, 0):
-                            continue
-                        for d in range(c + 1):
-                            if ends[d][i].get(left, 0) & begins[c - d][j].get(right, 0):
-                                at_i[lhs] = at_i.get(lhs, 0) | bit
-                                at_j[lhs] = at_j.get(lhs, 0) | 1 << i
-                                break
-                changed = True
-                while changed:
-                    changed = False
-                    for lhs, sym in unary:
-                        if at_i.get(sym, 0) & bit and not at_i.get(lhs, 0) & bit:
-                            at_i[lhs] = at_i.get(lhs, 0) | bit
-                            at_j[lhs] = at_j.get(lhs, 0) | 1 << i
-                            changed = True
-        if e[0].get(grammar.start, 0) >> n & 1:
+            layers.append(_drop_edge_word(*layers[-1], n))
+        _fill(layers, n, grammar)
+        if layers[c][0][0].get(grammar.start, 0) >> n & 1:
             return c
     return math.inf if top == n else top + 1
 

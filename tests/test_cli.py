@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from gapfill import cli, fixtures, skipparse
+from gapfill import cli, fixtures, postedit, skipparse
 
 from conftest import deep_or_text
 
@@ -12,6 +12,12 @@ def run(capsys, *argv):
     status = cli.dispatch(list(argv))
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+@pytest.fixture(scope="module")
+def article_tree():
+    _docs, instances = postedit.prepare(fixtures.article_corpus(), fixtures.noun_lexicon())
+    return postedit.train_tree(instances)
 
 
 class TestStatusCodes:
@@ -63,6 +69,30 @@ class TestStatusCodes:
         monkeypatch.setattr("sys.stdin", io.StringIO("dog barks\n"))
         status, _out, err = run(capsys, "postedit", "run", str(path))
         assert status == 4 and "tree line 1" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lm", "train", "{empty}"], "empty corpus"),
+        (["extract", "{s8.lat}", "--model", "{s8.lm}", "--n", "0"], "n must be at least 1"),
+        (["translit", "train", "{empty}"], "empty training set"),
+        (["translit", "decode", "kurinton", "--table", "{translit_table.tsv}",
+          "--lm", "{letters.lm}", "--lam", "2"], "lam must be in [0, 1]"),
+        (["skipparse", "dog", "--grammar", "{toy.cfg}", "--parsed", "{empty}",
+          "--unparsed", "{skip_unparsed.txt}"], "both corpora must be non-empty"),
+        (["postedit", "train", "{empty}"], "empty corpus"),
+        (["postedit", "eval", "{tree}", "{header}"], "empty held-out set"),
+    ])
+    def test_error_after_reading_is_domain_error(self, tmp_path, capsys, article_tree,
+                                                 argv, message):
+        files = {"empty": tmp_path / "empty.txt", "tree": tmp_path / "tree.dt",
+                 "header": tmp_path / "header.tsv"}
+        files["empty"].write_text("\n")
+        with files["tree"].open("w") as f:
+            postedit.save_tree(article_tree, f)
+        with files["header"].open("w") as f:
+            postedit.write_instances([], f)
+        argv = [str(files.get(a[1:-1]) or fixtures.path(a[1:-1])) if a.startswith("{") else a
+                for a in argv]
+        assert run(capsys, *argv) == (5, "", "gapfill: %s\n" % message)
 
     def test_domain_error_status(self, tmp_path, capsys):
         multi = tmp_path / "multi.gloss"
@@ -160,6 +190,39 @@ class TestPipelines:
                                 "--unparsed", str(fixtures.path("skip_unparsed.txt")))
         assert status == 0
         assert "skipped:\tum" in out
+
+    def test_skipparse_deep_tree(self, tmp_path, capsys):
+        grammar = tmp_path / "deep.cfg"
+        grammar.write_text("S -> N S\nS -> N\nlex dog N\n")
+        status, out, _err = run(capsys, "skipparse", *["dog"] * 500, "--grammar", str(grammar))
+        assert status == 0
+        assert out.startswith("skipped:\t-\ntree:\t('S', ('N', 'dog'), ('S', ")
+
+    def test_skipparse_negative_max_skips_is_usage_error(self, capsys):
+        status, out, err = run(capsys, "skipparse", "the", "um", "dog", "barks",
+                               "--grammar", str(fixtures.path("toy.cfg")), "--max-skips", "-1")
+        assert status == 2 and out == "" and "--max-skips" in err
+
+    def test_prefsem_rank(self, tmp_path, capsys):
+        exprs = tmp_path / "agents.il"
+        exprs.write_text("(r / SAY-EVENT :AGENT (k / ROCK))\n"
+                         "(p / SAY-EVENT :AGENT (q / PERSON))\n"
+                         "(o / SAY-EVENT :AGENT (g / ORGANIZATION))\n")
+        status, out, _err = run(capsys, "prefsem", "rank", str(exprs),
+                                "--ontology", str(fixtures.path("ontology.ont")))
+        assert status == 0
+        assert out == "1.0\tp\n0.25\to\n0.01\tr\n"
+
+    def test_postedit_eval(self, tmp_path, capsys, article_tree):
+        _docs, instances = postedit.prepare(fixtures.article_corpus(), fixtures.noun_lexicon())
+        tree_path, heldout = tmp_path / "tree.dt", tmp_path / "heldout.tsv"
+        with tree_path.open("w") as f:
+            postedit.save_tree(article_tree, f)
+        with heldout.open("w") as f:
+            postedit.write_instances(instances, f)
+        status, out, _err = run(capsys, "postedit", "eval", str(tree_path), str(heldout))
+        assert status == 0
+        assert out == "accuracy\t%r\n" % postedit.evaluate(article_tree, instances)
 
     def test_postedit_train_and_run(self, tmp_path, capsys, monkeypatch):
         tree_path = tmp_path / "tree.dt"

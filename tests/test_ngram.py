@@ -138,6 +138,13 @@ class TestGoodTuring:
         assert any(w.endswith("degenerate-ranks") for w in model.warnings)
         assert 10 ** N.logprob(model, "b", ["a"]) < 1.0
 
+    def test_counts_not_closed_under_suffixes_are_a_model_error(self, rng):
+        table = N.train(random_corpus(rng), 3)
+        gram = min(table.counts[3])
+        del table.counts[2][gram[1:]]
+        with pytest.raises(N.ModelError, match="suffix"):
+            N.good_turing(table)
+
     def test_unseen_events_strictly_positive(self, rng):
         for _ in range(10):
             model = N.good_turing(N.train(random_corpus(rng), 2))

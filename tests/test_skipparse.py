@@ -60,6 +60,20 @@ class TestChartParse:
         walk(res.tree)
         assert leaves == "the big dog chases a cat".split()
 
+    def test_deep_right_recursion_builds_its_tree(self):
+        deep = S.load_grammar(io.StringIO(DEEP_CFG))
+        res = S.chart_parse(["dog"] * 500, deep)
+        assert res.ok
+        depth, node = 0, res.tree
+        while node[0] == "S":
+            depth += 1
+            node = node[-1]
+        assert depth == 500 and node == ("N", "dog")
+
+
+# A right-recursive grammar whose trees are as deep as the sentence is long.
+DEEP_CFG = "S -> N S\nS -> N\nlex dog N\n"
+
 
 def _naive_parses(tokens, grammar):
     """Exponential recursive recognizer, used as an oracle."""
@@ -121,8 +135,15 @@ def _reference_chart(tokens, grammar):
                         cell[lhs] = ("rule", rhs, bp)
                         changed = True
     ok = grammar.start in chart.get((0, n), {})
-    tree = S._build_tree(chart, grammar.start, 0, n, words) if ok else None
+    tree = _reference_tree(chart, grammar.start, 0, n) if ok else None
     return S.ChartResult(ok, tree, chart, tuple(words))
+
+
+def _reference_tree(chart, sym, i, j):
+    entry = chart[(i, j)][sym]
+    if entry[0] == "lex":
+        return (sym, entry[1])
+    return (sym,) + tuple(_reference_tree(chart, s, a, b) for (a, b, s) in entry[2])
 
 
 def _reference_match_rhs(chart, rhs, i, j, walls):
@@ -148,15 +169,23 @@ def _ordered(res):
 
 
 class TestChartReference:
+    # Walls bound whole rules, not the inner links of a longer rule: the
+    # link for VP PP of S -> NP VP PP, and for ADJ N of NP -> DET ADJ N,
+    # straddles the wall here.
+    WALL_CROSSING_LINKS = ["BEGIN-NP a law sleep END-NP in new market",
+                           "BEGIN-NP the big END-NP dog barks"]
+
     def _check(self, grammar, vocab, count, seed):
         rng = random.Random(seed)
+        cases = [s.split() for s in self.WALL_CROSSING_LINKS]
+        cases += [[rng.choice(vocab) for _ in range(rng.randint(0, 14))] for _ in range(count)]
         parsed = 0
-        for _ in range(count):
-            toks = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+        for toks in cases:
             res, ref = S.chart_parse(toks, grammar), _reference_chart(toks, grammar)
             assert _ordered(res) == _ordered(ref), toks
             parsed += res.ok
         assert parsed > 0
+        assert all(S.chart_parse(s.split(), grammar).ok for s in self.WALL_CROSSING_LINKS)
 
     def test_matches_reference_on_toy_grammar(self, grammar):
         vocab = sorted(grammar.lexicon) + ["!", "um", "BEGIN-NP", "END-NP"]
