@@ -77,6 +77,27 @@ def _count(text):
     raise argparse.ArgumentTypeError("expected an integer of 0 or more, got %r" % text)
 
 
+def _corpus(f):
+    """A corpus file's lines without blank ones; corpora are text, so `#` stays."""
+    return [ln for ln in f.read().splitlines() if ln.strip()]
+
+
+def _tree_text(tree):
+    """repr(tree) for nested non-empty tuples, from a work stack of text and
+    tuples to expand: tuple repr recurses in C and fails near depth 1000."""
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        todo.append(",)" if len(node) == 1 else ")")
+        for k in reversed(range(len(node))):
+            todo.append(node[k] if isinstance(node[k], tuple) else repr(node[k]))
+            todo.append(", " if k else "(")
+    return "".join(out)
+
+
 def _out_stream(args):
     return _open_write(args.output) if getattr(args, "output", None) else sys.stdout
 
@@ -101,7 +122,7 @@ def _cmd_gloss(args):
 
 def _cmd_lm(args):
     if args.action == "train":
-        corpus = _load(args.corpus, lambda f: [ln for ln in f.read().splitlines() if ln.strip()])
+        corpus = _load(args.corpus, _corpus)
         model = ngram.good_turing(ngram.train(corpus, args.order))
         for warning in model.warnings:
             order, fallback = warning.split(":", 1)
@@ -169,9 +190,8 @@ def _cmd_skipparse(args):
     if args.suspicion:
         table = _load(args.suspicion, skipparse.read_suspicion)
     elif args.parsed and args.unparsed:
-        lines = lambda f: [ln for ln in f.read().splitlines() if ln.strip()]
-        table = skipparse.suspicion_train(_load(args.parsed, lines),
-                                          _load(args.unparsed, lines), grammar)
+        table = skipparse.suspicion_train(_load(args.parsed, _corpus),
+                                          _load(args.unparsed, _corpus), grammar)
     else:
         table = skipparse.SuspicionTable({}, 0.0)
     budget = skipparse.SkipBudget(max_skips=args.max_skips)
@@ -186,7 +206,7 @@ def _cmd_skipparse(args):
         return 0
     skipped = " ".join(args.tokens[i] for i in result.skipped) or "-"
     sys.stdout.write("skipped:\t%s\n" % skipped)
-    sys.stdout.write("tree:\t%s\n" % (result.tree,))
+    sys.stdout.write("tree:\t%s\n" % _tree_text(result.tree))
     return 0
 
 
@@ -194,7 +214,7 @@ def _cmd_postedit(args):
     lexicon = _load(args.lexicon, postedit.load_noun_lexicon) if args.lexicon \
         else fixtures.noun_lexicon()
     if args.action == "train":
-        corpus = _load(args.corpus, lambda f: [ln for ln in f.read().splitlines() if ln.strip()])
+        corpus = _load(args.corpus, _corpus)
         _stripped, instances = postedit.prepare(corpus, lexicon)
         tree = postedit.train_tree(instances)
         out = _out_stream(args)

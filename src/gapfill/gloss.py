@@ -13,6 +13,7 @@ import math
 
 from . import lattice, sexpr
 from .lattice import EMPTY_MARK, REGISTERED_MORPH_TAGS, Lattice, Token
+from .records import records
 
 __all__ = [
     "GlossError",
@@ -275,10 +276,7 @@ def pluralize(word: str, irregular=None) -> str:
 def load_plural_table(fp):
     """TSV of singular<TAB>plural pairs, merged over the built-in table."""
     table = dict(DEFAULT_IRREGULAR_PLURALS)
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(fp):
         parts = line.split("\t")
         if len(parts) != 2:
             raise GlossError("plural table line %d: expected 2 tab-separated fields" % lineno)

@@ -10,8 +10,11 @@ n-best extractor.  Weights are log10 scores carried on transitions
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
+
+from .records import records
 
 __all__ = [
     "Token",
@@ -394,30 +397,10 @@ def _parse_token(field: str) -> Token:
     return word(_unescape(field))
 
 
-def _split_fields(line: str):
-    """Whitespace split that respects double quotes."""
-    fields, buf, quoted = [], [], False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and quoted and i + 1 < len(line):
-            buf.append(c)
-            buf.append(line[i + 1])
-            i += 2
-            continue
-        if c == '"':
-            quoted = not quoted
-            buf.append(c)
-        elif c.isspace() and not quoted:
-            if buf:
-                fields.append("".join(buf))
-                buf = []
-        else:
-            buf.append(c)
-        i += 1
-    if buf:
-        fields.append("".join(buf))
-    return fields
+# A field of an arc line: non-space characters and double-quoted stretches,
+# which may hold spaces and backslash escapes and run to the line's end
+# when left open.
+_FIELD = re.compile(r'(?:[^\s"]|"(?:\\.|[^"\\]|\\$)*"?)+', re.DOTALL)
 
 
 def write_lattice(lat: Lattice, fp):
@@ -438,11 +421,8 @@ def read_lattice(fp) -> Lattice:
     except ValueError:
         raise LatticeError("bad lattice header: %r" % header.strip())
     transitions = []
-    for lineno, line in enumerate(fp, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = _split_fields(line)
+    for lineno, line in records(fp, start=2):
+        fields = _FIELD.findall(line)
         if len(fields) != 4:
             raise LatticeError("line %d: expected 4 fields, got %d" % (lineno, len(fields)))
         try:

@@ -15,6 +15,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .records import records
+
 __all__ = [
     "PosteditError",
     "NounLexicon",
@@ -75,10 +77,7 @@ class NounLexicon:
 
 def load_noun_lexicon(fp) -> NounLexicon:
     entries = {}
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(fp):
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in ("sg", "pl", "adj"):
             raise PosteditError("noun lexicon line %d: expected word<TAB>sg|pl|adj" % lineno)
@@ -380,14 +379,11 @@ def write_instances(instances, fp):
 
 def read_instances(fp):
     header = fp.readline().rstrip("\n").split("\t")
-    if not header or header[0] != "label":
+    if header[0] != "label":
         raise PosteditError("instances file must start with a label column")
     feats = header[1:]
     out = []
-    for lineno, raw in enumerate(fp, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
+    for lineno, line in records(fp, start=2):
         parts = line.split("\t")
         if len(parts) != len(header):
             raise PosteditError("instances line %d: wrong field count" % lineno)

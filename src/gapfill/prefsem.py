@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sexpr
+from .records import records
 
 __all__ = [
     "OntologyError",
@@ -128,13 +129,10 @@ def load_ontology(fp) -> Ontology:
 
     Directives: `concept NAME`, `isa CHILD PARENT`, `disjoint A B`, and
     `relation NAME basic c1,c2 relaxable-to c3 [domain c4 [domain-relaxable-to c5]]`.
-    `*` as a constraint set means any concept satisfies it.
+    `*` as a constraint set means any concept satisfies it.  A `#`
+    starts a comment that runs to the end of the line.
     """
-    lines = []
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line.split()))
+    lines = [(lineno, line.split("#", 1)[0].split()) for lineno, line in records(fp)]
     concepts = set()
     for lineno, parts in lines:
         if parts[0] == "concept":

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .ngram import _sum
+from .records import records
 
 __all__ = [
     "GrammarError",
@@ -105,15 +106,14 @@ def load_grammar(fp) -> Grammar:
     """Grammar text: `LHS -> SYM SYM` rules, `lex word TAG[,TAG]` entries,
     `marker BEGIN END pair` declarations, and an optional
     `nouns TAG[,TAG]` line naming the noun tags (default N).
-    The first rule's left-hand side is the start symbol."""
+    The first rule's left-hand side is the start symbol.  A `#` starts a
+    comment that runs to the end of the line."""
     rules = []
     lexicon = {}
     markers = {}
     noun_tags = None
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(fp):
+        line = line.split("#", 1)[0].rstrip()
         parts = line.split()
         if parts[0] == "lex":
             if len(parts) != 3:
@@ -377,10 +377,7 @@ def write_suspicion(table: SuspicionTable, fp):
 def read_suspicion(fp) -> SuspicionTable:
     scores = {}
     default = 0.0
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(fp):
         parts = line.split("\t")
         try:
             value = float(parts[-1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from . import extract, lattice, ngram
+from .records import records
 
 __all__ = [
     "TranslitError",
@@ -84,10 +85,7 @@ def read_pairs(fp):
     alignment is space-separated `unit:fragment` items (fragment may be
     empty for deletions)."""
     pairs = []
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(fp):
         parts = line.split("\t")
         if len(parts) != 3:
             raise TranslitError("pairs line %d: expected 3 tab-separated fields" % lineno)
@@ -139,10 +137,7 @@ def write_table(table: TransliterationTable, fp):
 
 def read_table(fp) -> TransliterationTable:
     entries = []
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(fp):
         parts = line.split("\t")
         if len(parts) != 4:
             raise TranslitError("table line %d: expected 4 tab-separated fields" % lineno)

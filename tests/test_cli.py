@@ -132,6 +132,21 @@ class TestPipelines:
         assert status == 0
         assert out == "LATTICE v1 4 0 3\n0 1 a 0.0\n2 3 b 0.0\n1 2 dogs 0.0\n"
 
+    def test_gloss_compile_with_plural_table(self, tmp_path, capsys):
+        gloss_path, table = tmp_path / "plural.gloss", tmp_path / "plurals.tsv"
+        gloss_path.write_text('(GLOSS ((OP1 "a") (OP2 "dog") (OP3 "+plural") (OP4 "b")))\n')
+        table.write_text("# irregular plurals\ndog\tdoggies\n")
+        status, out, _err = run(capsys, "gloss", "compile", str(gloss_path),
+                                "--morph", str(table))
+        assert status == 0
+        assert out == "LATTICE v1 4 0 3\n0 1 a 0.0\n2 3 b 0.0\n1 2 doggies 0.0\n"
+        table.write_text("# irregular plurals\ndog\n")
+        status, out, err = run(capsys, "gloss", "compile", str(gloss_path),
+                               "--morph", str(table))
+        assert (status, out) == (4, "")
+        assert err == "gapfill: %s: plural table line 2: expected 2 tab-separated fields\n" \
+            % table
+
     def test_extract_on_bundled_fixture(self, capsys):
         status, out, _err = run(capsys, "extract", str(fixtures.path("s8.lat")),
                                 "--model", str(fixtures.path("s8.lm")), "--n", "1")
@@ -197,6 +212,23 @@ class TestPipelines:
         status, out, _err = run(capsys, "skipparse", *["dog"] * 500, "--grammar", str(grammar))
         assert status == 0
         assert out.startswith("skipped:\t-\ntree:\t('S', ('N', 'dog'), ('S', ")
+
+    def test_tree_text_is_repr(self):
+        grammar = fixtures.toy_grammar()
+        trees = [skipparse.chart_parse(line.split(), grammar).tree
+                 for line in fixtures.corpus_lines("skip_parsed.txt") + fixtures.mixed_corpus()]
+        trees = [t for t in trees if t is not None]
+        assert len(trees) == 16
+        trees += [("x",), (("x",), 'say "it\'s"', ("a", (1.5,)))]
+        for tree in trees:
+            assert cli._tree_text(tree) == repr(tree)
+
+    def test_tree_text_of_deep_tree(self):
+        tree = ("N", "dog")
+        for _ in range(5000):
+            tree = ("S", ("N", "dog"), tree)
+        assert cli._tree_text(tree) == \
+            "('S', ('N', 'dog'), " * 5000 + "('N', 'dog')" + ")" * 5000
 
     def test_skipparse_negative_max_skips_is_usage_error(self, capsys):
         status, out, err = run(capsys, "skipparse", "the", "um", "dog", "barks",

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -254,6 +255,16 @@ class TestTextFormat:
         again = L.read_lattice(buf)
         assert [t[2] for t in again.transitions] == [t[2] for t in lat.transitions]
 
+    def test_field_regex_matches_reference_splitter(self):
+        # The alphabet holds every character class the two could disagree
+        # on: quotes, escapes, ASCII and Unicode whitespace, and neither.
+        alphabet = ['"', "\\", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\xa0", "\x85",
+                    "#", "\u00e9", "a", "1"]
+        rng = random.Random(22)
+        for _ in range(20000):
+            line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            assert L._FIELD.findall(line) == _split_fields(line), repr(line)
+
     def test_bad_header_is_error(self):
         with pytest.raises(L.LatticeError):
             L.read_lattice(io.StringIO("LATTICE v9 1 0 0\n"))
@@ -263,3 +274,31 @@ class TestTextFormat:
         text = "LATTICE v1 3 0 2\n0 1 w:a 0.0\n1 2 w:c %s\n" % weight
         with pytest.raises(L.LatticeError):
             L.read_lattice(io.StringIO(text))
+
+
+def _split_fields(line):
+    """Reference for lattice._FIELD, one character at a time: a whitespace
+    split in which double quotes group and, inside quotes, a backslash
+    escapes the next character."""
+    fields, buf, quoted = [], [], False
+    i = 0
+    while i < len(line):
+        c = line[i]
+        if c == "\\" and quoted and i + 1 < len(line):
+            buf.append(c)
+            buf.append(line[i + 1])
+            i += 2
+            continue
+        if c == '"':
+            quoted = not quoted
+            buf.append(c)
+        elif c.isspace() and not quoted:
+            if buf:
+                fields.append("".join(buf))
+                buf = []
+        else:
+            buf.append(c)
+        i += 1
+    if buf:
+        fields.append("".join(buf))
+    return fields
