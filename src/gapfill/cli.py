@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import extract, fixtures, gloss, lattice, ngram, postedit, prefsem, skipparse, translit
+from .records import record_lines
 
 USAGE_STATUS = 2
 IO_STATUS = 3
@@ -39,11 +40,17 @@ def _open_read(path):
         raise _Fail(IO_STATUS, "cannot read %s: %s" % (path, e.strerror))
 
 
-def _open_write(path):
+def _write(args, writer, obj):
+    """writer(obj, fp) into the -o file, or onto stdout without one."""
+    if not args.output:
+        writer(obj, sys.stdout)
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        out = open(args.output, "w", encoding="utf-8")
     except OSError as e:
-        raise _Fail(IO_STATUS, "cannot write %s: %s" % (path, e.strerror))
+        raise _Fail(IO_STATUS, "cannot write %s: %s" % (args.output, e.strerror))
+    with out:
+        writer(obj, out)
 
 
 def _load(path, reader):
@@ -77,11 +84,6 @@ def _count(text):
     raise argparse.ArgumentTypeError("expected an integer of 0 or more, got %r" % text)
 
 
-def _corpus(f):
-    """A corpus file's lines without blank ones; corpora are text, so `#` stays."""
-    return [ln for ln in f.read().splitlines() if ln.strip()]
-
-
 def _tree_text(tree):
     """repr(tree) for nested non-empty tuples, from a work stack of text and
     tuples to expand: tuple repr recurses in C and fails near depth 1000."""
@@ -98,10 +100,6 @@ def _tree_text(tree):
     return "".join(out)
 
 
-def _out_stream(args):
-    return _open_write(args.output) if getattr(args, "output", None) else sys.stdout
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -112,26 +110,19 @@ def _cmd_gloss(args):
                     % (args.input, len(records)))
     lat = gloss.compile_gloss(records[0])
     table = _load(args.morph, gloss.load_plural_table) if args.morph else None
-    lat = gloss.apply_morphology(lat, table)
-    out = _out_stream(args)
-    lattice.write_lattice(lat, out)
-    if out is not sys.stdout:
-        out.close()
+    _write(args, lattice.write_lattice, gloss.apply_morphology(lat, table))
     return 0
 
 
 def _cmd_lm(args):
     if args.action == "train":
-        corpus = _load(args.corpus, _corpus)
+        corpus = _load(args.corpus, record_lines)
         model = ngram.good_turing(ngram.train(corpus, args.order))
         for warning in model.warnings:
             order, fallback = warning.split(":", 1)
             sys.stderr.write("gapfill: warning: order %s smoothing fallback %s\n"
                              % (order, fallback))
-        out = _out_stream(args)
-        ngram.save(model, out)
-        if out is not sys.stdout:
-            out.close()
+        _write(args, ngram.save, model)
         return 0
     model = _load(args.model, ngram.load)
     for line in sys.stdin:
@@ -171,11 +162,7 @@ def _cmd_prefsem(args):
 def _cmd_translit(args):
     if args.action == "train":
         pairs = _load(args.pairs, translit.read_pairs)
-        table = translit.train_table(pairs)
-        out = _out_stream(args)
-        translit.write_table(table, out)
-        if out is not sys.stdout:
-            out.close()
+        _write(args, translit.write_table, translit.train_table(pairs))
         return 0
     table = _load(args.table, translit.read_table)
     model = _load(args.lm, ngram.load)
@@ -190,8 +177,8 @@ def _cmd_skipparse(args):
     if args.suspicion:
         table = _load(args.suspicion, skipparse.read_suspicion)
     elif args.parsed and args.unparsed:
-        table = skipparse.suspicion_train(_load(args.parsed, _corpus),
-                                          _load(args.unparsed, _corpus), grammar)
+        table = skipparse.suspicion_train(_load(args.parsed, record_lines),
+                                          _load(args.unparsed, record_lines), grammar)
     else:
         table = skipparse.SuspicionTable({}, 0.0)
     budget = skipparse.SkipBudget(max_skips=args.max_skips)
@@ -214,13 +201,8 @@ def _cmd_postedit(args):
     lexicon = _load(args.lexicon, postedit.load_noun_lexicon) if args.lexicon \
         else fixtures.noun_lexicon()
     if args.action == "train":
-        corpus = _load(args.corpus, _corpus)
-        _stripped, instances = postedit.prepare(corpus, lexicon)
-        tree = postedit.train_tree(instances)
-        out = _out_stream(args)
-        postedit.save_tree(tree, out)
-        if out is not sys.stdout:
-            out.close()
+        _stripped, instances = postedit.prepare(_load(args.corpus, record_lines), lexicon)
+        _write(args, postedit.save_tree, postedit.train_tree(instances))
         return 0
     tree = _load(args.tree, postedit.load_tree)
     if args.action == "eval":
@@ -237,17 +219,14 @@ def _cmd_postedit(args):
 
 
 def _cmd_demo(args):
-    if args.name in ("s3", "s8"):
-        try:
-            rand, rs, best, bs = fixtures.demo_pair(args.name, seed=_seed(None))
-        except FileNotFoundError as e:
-            raise _Fail(IO_STATUS, "missing bundled fixture: %s" % e)
-        sys.stdout.write("(random extractor)   log10 P = %.4f\n" % rs)
-        sys.stdout.write("%s\n" % rand)
-        sys.stdout.write("(bigram extractor)   log10 P = %.4f\n" % bs)
-        sys.stdout.write("%s\n" % best)
-        return 0
     try:
+        if args.name in ("s3", "s8"):
+            rand, rs, best, bs = fixtures.demo_pair(args.name, seed=_seed(None))
+            sys.stdout.write("(random extractor)   log10 P = %.4f\n" % rs)
+            sys.stdout.write("%s\n" % rand)
+            sys.stdout.write("(bigram extractor)   log10 P = %.4f\n" % bs)
+            sys.stdout.write("%s\n" % best)
+            return 0
         table = fixtures.translit_table()
         model = fixtures.letter_model()
     except FileNotFoundError as e:

@@ -36,9 +36,6 @@ class ExtractionResult:
 
     ranked: tuple  # of (str, float)
 
-    def sentences(self):
-        return [s for s, _ in self.ranked]
-
     def top(self):
         return self.ranked[0]
 

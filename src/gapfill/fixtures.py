@@ -14,6 +14,7 @@ import io
 from pathlib import Path
 
 from . import extract, gloss, lattice, ngram, postedit, prefsem, skipparse, translit
+from .records import record_lines
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,8 +35,8 @@ def read_text(name: str) -> str:
 
 
 def corpus_lines(name: str):
-    return [line for line in read_text(name).splitlines()
-            if line.strip() and not line.startswith("#")]
+    with path(name).open() as f:
+        return record_lines(f)
 
 
 def build_demo_lattice(which: str) -> lattice.Lattice:

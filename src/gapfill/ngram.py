@@ -51,6 +51,9 @@ _NUM_CHARS = set("0123456789.,%")
 # Held-out fraction used when Good-Turing cannot be applied (no
 # singletons, or a degenerate frequency-of-frequencies table).
 EPS_FALLBACK = 0.05
+# Word models classify a capitalized token as NAME unless its lowercase
+# form occurs at least this often in the training corpus.
+KNOWN_MIN_COUNT = 2
 # Significance threshold (in standard errors) for switching from raw
 # Turing estimates to the regressed ones.
 SWITCH_SIGMAS = 1.65
@@ -106,11 +109,10 @@ class CountTable:
     Unigram counts exclude the start pad (it is never a continuation).
     """
 
-    def __init__(self, order, counts, vocab, classify, known, mode, sentence_count):
+    def __init__(self, order, counts, vocab, known, mode, sentence_count):
         self.order = order
         self.counts = counts  # {k: Counter over k-tuples}
         self.vocab = vocab  # sorted tuple, includes BOS/EOS/UNK
-        self.classify = classify
         self.known = known
         self.mode = mode
         self.sentence_count = sentence_count
@@ -120,12 +122,13 @@ class CountTable:
         return sum(self.counts[k].values())
 
 
-def train(corpus, order, classify=True, known_min_count=2, mode="words") -> CountTable:
+def train(corpus, order, mode="words") -> CountTable:
     """Count n-grams of all orders up to `order` over a tokenized corpus.
 
-    The known-word list used by classification is the corpus's own
-    lowercase vocabulary at or above known_min_count, computed in a
-    first pass.
+    A word model counts classified tokens (classify_token).  Its
+    known-word list is the corpus's own lowercase vocabulary at or above
+    KNOWN_MIN_COUNT, computed in a first pass.  A letter model counts its
+    tokens as they are.
     """
     if order < 2:
         raise ModelError("order must be at least 2")
@@ -134,20 +137,15 @@ def train(corpus, order, classify=True, known_min_count=2, mode="words") -> Coun
         raise ModelError("empty corpus")
 
     known = frozenset()
-    if classify and mode == "words":
+    if mode == "words":
         low = Counter(t.lower() for s in sents for t in s)
-        known = frozenset(w for w, c in low.items() if c >= known_min_count)
-
-    def model_tokens(sent):
-        if classify and mode == "words":
-            return [classify_token(t, known) for t in sent]
-        return list(sent)
+        known = frozenset(w for w, c in low.items() if c >= KNOWN_MIN_COUNT)
 
     counts = {k: Counter() for k in range(1, order + 1)}
     vocab = {BOS, EOS, UNK}
     pad = [BOS] * (order - 1)
     for sent in sents:
-        toks = model_tokens(sent)
+        toks = [classify_token(t, known) for t in sent] if mode == "words" else sent
         vocab.update(toks)
         stream = pad + toks + [EOS]
         for k in range(1, order + 1):
@@ -156,7 +154,7 @@ def train(corpus, order, classify=True, known_min_count=2, mode="words") -> Coun
                 if k == 1 and gram[0] == BOS:
                     continue
                 counts[k][gram] += 1
-    return CountTable(order, counts, tuple(sorted(vocab)), classify, known, mode, len(sents))
+    return CountTable(order, counts, tuple(sorted(vocab)), known, mode, len(sents))
 
 
 class FreqOfFreq:
@@ -204,22 +202,20 @@ class FreqOfFreq:
 class _Smoother:
     """Per-order discounting policy derived from a FreqOfFreq table."""
 
-    def __init__(self, fof: FreqOfFreq, eps: float):
+    def __init__(self, fof: FreqOfFreq):
         self.fof = fof
         self.warning = None
         n = fof.total
         if fof.n_1 == 0:
             self.mode = "add-eps"
             self.warning = "no-singletons"
-            self.unseen_mass = eps
-            self.eps = eps
+            self.unseen_mass = EPS_FALLBACK
             return
         if len(fof.ranks) < 2:
             # All n-grams are singletons; raw GT would zero them out.
             self.mode = "held-out"
             self.warning = "degenerate-ranks"
-            self.unseen_mass = eps
-            self.eps = eps
+            self.unseen_mass = EPS_FALLBACK
             return
         _a, b = fof.fit()
         p0 = fof.n_1 / n
@@ -259,14 +255,14 @@ class _Smoother:
         scale = (1.0 - self.unseen_mass) * fof.total / seen
         return {r: c * scale for r, c in adjusted.items()}
 
-    def seen_prob(self, count: int, denom: int, n_seen_here: int, vocab_size: int) -> float:
+    def seen_prob(self, count: int, denom: int, vocab_size: int) -> float:
         """Discounted conditional probability of a seen event."""
         if self.mode == "sgt":
             return self._adjusted[count] / denom
         if self.mode == "held-out":
             return (1.0 - self.unseen_mass) * count / denom
         # add-eps
-        return (count + self.eps) / (denom + self.eps * vocab_size)
+        return (count + EPS_FALLBACK) / (denom + EPS_FALLBACK * vocab_size)
 
 
 class NGramModel:
@@ -277,14 +273,12 @@ class NGramModel:
     Unigram probabilities cover the whole vocabulary.
     """
 
-    def __init__(self, order, vocab, probs, backoffs, classify, known, mode,
-                 unseen_mass, warnings):
+    def __init__(self, order, vocab, probs, backoffs, known, mode, unseen_mass, warnings):
         self.order = order
         self.vocab = tuple(vocab)
         self._vocab_set = frozenset(vocab)
         self.probs = probs
         self.backoffs = backoffs
-        self.classify = classify
         self.known = frozenset(known)
         self.mode = mode
         self.unseen_mass = dict(unseen_mass)  # {order: fraction}
@@ -293,7 +287,7 @@ class NGramModel:
     # -- token plumbing ----------------------------------------------------
 
     def model_token(self, surface: str) -> str:
-        if self.mode == "words" and self.classify:
+        if self.mode == "words":
             return classify_token(surface, self.known)
         return surface
 
@@ -340,7 +334,7 @@ class NGramModel:
         return self.logprob_model(EOS, context)
 
 
-def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
+def good_turing(table: CountTable) -> NGramModel:
     """Build the smoothed backoff model from a count table.
 
     Discounting per order is Simple Good-Turing where the table allows
@@ -353,7 +347,7 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
     smoothers = {}
     warnings = []
     for k in range(1, table.order + 1):
-        sm = _Smoother(FreqOfFreq(table.counts[k]), eps)
+        sm = _Smoother(FreqOfFreq(table.counts[k]))
         smoothers[k] = sm
         if sm.warning:
             warnings.append("%d:%s" % (k, sm.warning))
@@ -368,7 +362,7 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
     denom = table.n_tokens(1)
     seen_ps = {}
     for (w,), c in uni.items():
-        seen_ps[w] = sm.seen_prob(c, denom, len(uni), vsize)
+        seen_ps[w] = sm.seen_prob(c, denom, vsize)
     unseen = [w for w in vocab if w not in seen_ps]
     rest = 1.0 - _sum(seen_ps.values())
     if unseen:
@@ -392,7 +386,7 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
         for hist in sorted(by_hist):
             pairs = by_hist[hist]
             denom = sum(c for _w, c in pairs)
-            ps = {w: sm.seen_prob(c, denom, len(pairs), vsize) for w, c in pairs}
+            ps = {w: sm.seen_prob(c, denom, vsize) for w, c in pairs}
             total_seen = _sum(ps.values())
             if total_seen >= 1.0 - 1e-9:
                 # Numerical guard: leave a sliver for unseen events so
@@ -418,10 +412,8 @@ def good_turing(table: CountTable, eps: float = EPS_FALLBACK) -> NGramModel:
         probs[k] = level
         backoffs[k] = alphas
 
-    return NGramModel(table.order, vocab, probs, backoffs, table.classify,
-                      table.known, table.mode,
-                      {k: smoothers[k].unseen_mass for k in smoothers},
-                      warnings)
+    return NGramModel(table.order, vocab, probs, backoffs, table.known, table.mode,
+                      {k: smoothers[k].unseen_mass for k in smoothers}, warnings)
 
 
 def logprob(model: NGramModel, token: str, history) -> float:
@@ -462,7 +454,7 @@ def save(model: NGramModel, fp):
     fp.write("NGRAM v1 order=%d vocab=%d\n" % (model.order, len(model.vocab)))
     mass = ",".join("%d:%s" % (k, repr(v)) for k, v in sorted(model.unseen_mass.items()))
     fp.write("\\meta mode=%s classify=%d warnings=%s unseen=%s\n"
-             % (model.mode, int(model.classify), ",".join(model.warnings), mass))
+             % (model.mode, int(model.mode == "words"), ",".join(model.warnings), mass))
     if model.known:
         fp.write("\\known\n")
         for w in sorted(model.known):
@@ -495,7 +487,8 @@ def load(fp) -> NGramModel:
         raise ModelError("missing meta line")
     fields = dict(f.split("=", 1) for f in meta[1:] if "=" in f)
     mode = fields.get("mode", "words")
-    classify = fields.get("classify", "1") == "1"
+    if mode == "words" and fields.get("classify", "1") != "1":
+        raise ModelError("word models always classify tokens (classify=%s)" % fields["classify"])
     warnings = tuple(w for w in fields.get("warnings", "").split(",") if w)
     unseen = {}
     for item in fields.get("unseen", "").split(","):
@@ -552,5 +545,7 @@ def load(fp) -> NGramModel:
     vocab = sorted({g[0] for g in probs[1]})
     if len(vocab) != vsize:
         raise ModelError("vocab size mismatch: header %d, file %d" % (vsize, len(vocab)))
-    return NGramModel(order, vocab, probs, backoffs, classify, known, mode,
-                      unseen, warnings)
+    for token in (BOS, EOS, UNK):
+        if (token,) not in probs[1]:
+            raise ModelError("model lacks the %s unigram" % token)
+    return NGramModel(order, vocab, probs, backoffs, known, mode, unseen, warnings)

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .ngram import _sum
 from .records import records
 
 __all__ = [
@@ -210,21 +211,20 @@ def _entropy(counts: Counter) -> float:
     return h
 
 
-def train_tree(instances, max_depth: int = 8, min_leaf: int = 1) -> DecisionTree:
+def train_tree(instances, max_depth: int = 8) -> DecisionTree:
     """Greedy information-gain induction over categorical features.
 
-    Splitting stops at zero gain, the depth bound, or when a split would
-    create a branch smaller than min_leaf.  Gain ties break on the
-    lexicographically first feature name.
+    Splitting stops at zero gain or at the depth bound.  Gain ties break
+    on the lexicographically first feature name.
     """
     instances = list(instances)
     if not instances:
         raise PosteditError("need at least one training instance")
     features = sorted({f for inst in instances for f in inst.features})
-    return _grow(instances, features, max_depth, min_leaf)
+    return _grow(instances, features, max_depth)
 
 
-def _grow(instances, features, depth, min_leaf):
+def _grow(instances, features, depth):
     node = DecisionTree(counts=Counter(inst.label for inst in instances))
     if depth <= 0 or len(node.counts) == 1 or not features:
         return node
@@ -237,10 +237,8 @@ def _grow(instances, features, depth, min_leaf):
             groups.setdefault(inst.features.get(feat, MISSING), []).append(inst)
         if len(groups) < 2:
             continue
-        if min(len(g) for g in groups.values()) < min_leaf:
-            continue
-        rem = sum(len(g) / total * _entropy(Counter(i.label for i in g))
-                  for g in groups.values())
+        rem = _sum(len(g) / total * _entropy(Counter(i.label for i in g))
+                   for g in groups.values())
         gain = base - rem
         if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
             best = (gain, feat, groups)
@@ -250,7 +248,7 @@ def _grow(instances, features, depth, min_leaf):
     node.feature = feat
     rest = [f for f in features if f != feat]
     for value, group in sorted(groups.items()):
-        node.branches[value] = _grow(group, rest, depth - 1, min_leaf)
+        node.branches[value] = _grow(group, rest, depth - 1)
     node.default = max(sorted(groups), key=lambda v: len(groups[v]))
     return node
 
@@ -305,10 +303,10 @@ def insert_articles(tokens, tree: DecisionTree, lexicon: NounLexicon):
 # ---------------------------------------------------------------------------
 # file formats
 
-def save_tree(tree: DecisionTree, fp, indent=0):
+def save_tree(tree: DecisionTree, fp):
     """Write the tree as indented lines, two spaces a level, that load_tree
     reads.  Subtrees wait on a work stack, so any depth works."""
-    stack = [(tree, indent, "")]  # (subtree, indent, the value line before it)
+    stack = [(tree, 0, "")]  # (subtree, indent, the value line before it)
     while stack:
         tree, indent, head = stack.pop()
         pad = "  " * indent

@@ -190,9 +190,6 @@ class InterlinguaExpr:
     roles: list  # (holder id, relation name, filler) with filler: ("id", x) | ("literal", x)
     root: str
 
-    def concept(self, instance_id):
-        return self.instances[instance_id]
-
 
 def _define(node, expr: InterlinguaExpr) -> str:
     """Record the instance a `(id / CONCEPT ...)` list defines; its id."""

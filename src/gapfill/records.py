@@ -1,8 +1,9 @@
-"""The record rule shared by the line-format readers.
+"""The record rule shared by the line-format readers and the corpora.
 
 A record is one line of a text file, stripped of surrounding whitespace.
 Blank lines and lines that start with `#` once stripped are not records.
-Each reader splits its records into fields and checks them itself.
+Each reader splits its records into fields and checks them itself; a
+corpus is just its records, one sentence or word each.
 """
 
 
@@ -13,3 +14,8 @@ def records(fp, start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def record_lines(fp):
+    """The records of fp as a list of lines: a corpus file's sentences."""
+    return [line for _lineno, line in records(fp)]

@@ -58,13 +58,12 @@ class Grammar:
     paired boundary-marker tokens, and the set of noun tags used by the
     skipping heuristics."""
 
-    def __init__(self, start, rules, lexicon, markers, noun_tags, oov_tags=()):
+    def __init__(self, start, rules, lexicon, markers, noun_tags):
         self.start = start
         self.rules = tuple(rules)  # (lhs, (sym, ...))
         self.lexicon = {w: tuple(tags) for w, tags in lexicon.items()}
         self.markers = dict(markers)  # begin token -> end token
         self.noun_tags = frozenset(noun_tags)
-        self.oov_tags = tuple(oov_tags)
         self.nonterminals = {lhs for lhs, _ in self.rules}
         declared = set(self.nonterminals)
         for tags in self.lexicon.values():
@@ -95,7 +94,7 @@ class Grammar:
         return token in self.markers or token in self.markers.values()
 
     def tags(self, token):
-        return self.lexicon.get(token, self.oov_tags)
+        return self.lexicon.get(token, ())
 
     def first_tag(self, token):
         tags = self.tags(token)
@@ -203,7 +202,7 @@ def chart_parse(tokens, grammar: Grammar) -> ChartResult:
     spans them all.  Failure is a value, not an exception.
 
     Marker tokens are not words: they only contribute walls that rules
-    must respect.  Unknown words take the grammar's OOV tag set.
+    must respect.  A word outside the lexicon has no tags.
 
     Cells fill by increasing span (see _fill); each cell keeps, for each
     symbol, the first rule in grammar order that derives it and that

@@ -37,6 +37,8 @@ MEDIAL = "MEDIAL"
 FINAL = "FINAL"
 ANY = "ANY"
 POSITIONS = (INITIAL, MEDIAL, FINAL, ANY)
+# Order of the letter model that scores candidate spellings.
+LETTER_ORDER = 4
 
 
 class TranslitError(Exception):
@@ -207,20 +209,20 @@ def candidate_lattice(words, table: TransliterationTable) -> lattice.Lattice:
     return lat
 
 
-def train_letter_model(words, order: int = 4) -> ngram.NGramModel:
-    """Letter n-gram model of English-looking spellings.
+def train_letter_model(words) -> ngram.NGramModel:
+    """Letter model of order LETTER_ORDER over English-looking spellings.
 
     words: iterable of lowercase words or phrases; characters become
     tokens and spaces become the boundary mark.
     """
     corpus = [ngram.letters(w.strip()) for w in words if w.strip()]
-    table = ngram.train(corpus, order, classify=False, mode="letters")
+    table = ngram.train(corpus, LETTER_ORDER, mode="letters")
     return ngram.good_turing(table)
 
 
 def back_transliterate(romaji: str, table: TransliterationTable,
                        letter_model: ngram.NGramModel, n: int = 5,
-                       lam: float = 0.5, beam=None):
+                       lam: float = 0.5):
     """Ranked English renderings of romanized katakana.
 
     Scores combine the letter model and the table weights by linear
@@ -231,8 +233,7 @@ def back_transliterate(romaji: str, table: TransliterationTable,
         raise TranslitError("lam must be in [0, 1]")
     words = segment(romaji, table)
     lat = candidate_lattice(words, table)
-    result = extract.nbest(lat, letter_model, n, beam=beam,
-                           lm_weight=lam, trans_weight=1.0 - lam)
+    result = extract.nbest(lat, letter_model, n, lm_weight=lam, trans_weight=1.0 - lam)
     return list(result.ranked)
 
 

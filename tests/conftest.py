@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gapfill import fixtures
 from gapfill import lattice as L
 from gapfill import ngram
 
@@ -63,3 +64,13 @@ def rng():
 def deep_or_text(depth):
     """(GLOSS (*OR* (*OR* ... "a" "b") "b")) with `depth` nested *OR*s."""
     return "(GLOSS %s%s%s)" % ("(*OR* " * depth, '"a"', ' "b")' * depth)
+
+
+def s3_model_with_unigram_renamed(token):
+    """The bundled s3.lm with the unigram line of `token` naming another
+    word instead, and the header's vocab count left alone."""
+    lines = fixtures.path("s3.lm").read_text().splitlines(keepends=True)
+    start = lines.index("\\1-grams\n") + 1
+    i = next(i for i in range(start, len(lines)) if lines[i].split()[1] == token)
+    lines[i] = lines[i].replace(" %s" % token, " renamed", 1)
+    return "".join(lines)

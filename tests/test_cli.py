@@ -5,7 +5,7 @@ import pytest
 
 from gapfill import cli, fixtures, postedit, skipparse
 
-from conftest import deep_or_text
+from conftest import deep_or_text, s3_model_with_unigram_renamed
 
 
 def run(capsys, *argv):
@@ -94,6 +94,21 @@ class TestStatusCodes:
                 for a in argv]
         assert run(capsys, *argv) == (5, "", "gapfill: %s\n" % message)
 
+    def test_output_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s3.lm"
+        status, _out, err = run(capsys, "lm", "train", str(fixtures.path("s3_corpus.txt")),
+                                "-o", str(out))
+        assert status == 3 and "cannot write %s" % out in err
+
+    @pytest.mark.parametrize("token", ["</s>", "<unk>"])
+    def test_model_without_special_unigram_is_format_error(self, tmp_path, capsys,
+                                                            monkeypatch, token):
+        path = tmp_path / "bad.lm"
+        path.write_text(s3_model_with_unigram_renamed(token))
+        monkeypatch.setattr("sys.stdin", io.StringIO("planned economy\n"))
+        status, out, err = run(capsys, "lm", "score", str(path))
+        assert (status, out) == (4, "") and "lacks the %s unigram" % token in err
+
     def test_domain_error_status(self, tmp_path, capsys):
         multi = tmp_path / "multi.gloss"
         multi.write_text('(GLOSS ((OP1 "a")))\n(GLOSS ((OP1 "b")))\n')
@@ -124,6 +139,13 @@ class TestPipelines:
         # The warning goes to stderr; the model on stdout is the bundled one.
         assert err == "gapfill: warning: order 1 smoothing fallback sgt-slope\n"
         assert out == fixtures.path("s8.lm").read_text()
+
+    def test_lm_train_skips_comment_lines(self, tmp_path, capsys):
+        with_header = tmp_path / "corpus.txt"
+        with_header.write_text("# header\n" + fixtures.path("s3_corpus.txt").read_text())
+        for path in (fixtures.path("s3_corpus.txt"), with_header):
+            status, out, _err = run(capsys, "lm", "train", str(path))
+            assert (status, out) == (0, fixtures.path("s3.lm").read_text())
 
     def test_mandatory_plural_gloss_compiles(self, tmp_path, capsys):
         path = tmp_path / "plural.gloss"
@@ -267,6 +289,20 @@ class TestPipelines:
         assert status == 0
         assert out.strip().endswith("dog barked")
 
+    def test_postedit_run_keeps_blank_lines(self, tmp_path, capsys, monkeypatch, article_tree):
+        tree_path = tmp_path / "tree.dt"
+        with tree_path.open("w") as f:
+            postedit.save_tree(article_tree, f)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ndog barked\n"))
+        status, out, _err = run(capsys, "postedit", "run", str(tree_path))
+        assert status == 0 and out.startswith("\n") and out.strip().endswith("dog barked")
+
+    def test_lm_score_skips_blank_lines(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\nthe new company plans\n  \n"))
+        status, out, _err = run(capsys, "lm", "score", str(fixtures.path("s8.lm")))
+        assert status == 0 and out.count("\n") == 1
+        assert out.endswith("\tthe new company plans\n")
+
     def test_lm_score_deterministic(self, capsys, monkeypatch):
         for _ in range(2):
             monkeypatch.setattr("sys.stdin", io.StringIO("the new company plans\n"))
@@ -314,10 +350,13 @@ class TestDemos:
 
 
 class TestFixtureConstruction:
-    def test_derived_artifacts_match_rebuild(self):
+    def test_derived_artifacts_match_rebuild(self, tmp_path):
         rebuilt = fixtures.rebuild()
+        assert fixtures.rebuild(tmp_path) == rebuilt
+        assert sorted(rebuilt) == sorted(fixtures.DERIVED)
         for name, text in rebuilt.items():
             assert fixtures.path(name).read_text() == text, name
+            assert (tmp_path / name).read_bytes() == fixtures.path(name).read_bytes(), name
 
     def test_bundled_models_supported_by_oracle(self):
         # The constructed corpora must make the bundled bigram models

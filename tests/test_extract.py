@@ -35,6 +35,10 @@ class TestNBest:
         with pytest.raises(X.ExtractError):
             X.nbest(single_path_lattice(), tiny_model(), 0)
 
+    def test_beam_zero_is_error(self):
+        with pytest.raises(X.ExtractError):
+            X.nbest(single_path_lattice(), tiny_model(), 1, beam=0)
+
     def test_unvalidated_lattice_is_error(self):
         lat = L.build([0, 1], 0, 1, [(0, 1, L.word("a"), 0.0)])
         with pytest.raises(L.LatticeError):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from gapfill import fixtures
 from gapfill import ngram as N
 
-from conftest import random_corpus
+from conftest import random_corpus, s3_model_with_unigram_renamed
 
 
 def model_for(corpus, order=2):
@@ -230,6 +231,41 @@ class TestSaveLoad:
         text = head + "\\2-grams\n" + " ".join([number] + line.split(" ")[1:]) + "\n" + rest
         with pytest.raises(N.ModelError):
             N.load(io.StringIO(text))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("order=2", "order=two", "bad model header"),
+        ("\\meta", "\\beta", "missing meta line"),
+        ("unseen=1:", "unseen=1:x,1:", "bad unseen mass"),
+        ("vocab=40", "vocab=41", "vocab size mismatch"),
+        ("\\2-grams", "\\3-grams", "unexpected section"),
+        ("\\known\n", "", "content before any section"),
+        ("\\2-grams\n", "\\2-grams\n-1.0 a b c d\n", "bad 2-gram line"),
+    ])
+    def test_damaged_header_or_line_is_error(self, old, new, message):
+        text = fixtures.path("s3.lm").read_text()
+        assert old in text
+        with pytest.raises(N.ModelError, match=message):
+            N.load(io.StringIO(text.replace(old, new, 1)))
+
+    @pytest.mark.parametrize("token", [N.EOS, N.UNK])
+    def test_missing_special_unigram_is_error(self, token):
+        with pytest.raises(N.ModelError, match="lacks the %s unigram" % token):
+            N.load(io.StringIO(s3_model_with_unigram_renamed(token)))
+
+    def test_unclassified_word_model_is_error(self):
+        text = fixtures.path("s3.lm").read_text()
+        assert " mode=words classify=1 " in text
+        with pytest.raises(N.ModelError, match="classify=0"):
+            N.load(io.StringIO(text.replace(" classify=1 ", " classify=0 ", 1)))
+
+    def test_classify_flag_follows_mode(self):
+        for name, mode, flag in (("s3.lm", "words", 1), ("letters.lm", "letters", 0)):
+            with fixtures.path(name).open() as f:
+                model = N.load(f)
+            buf = io.StringIO()
+            N.save(model, buf)
+            assert buf.getvalue().splitlines()[1].startswith(
+                "\\meta mode=%s classify=%d " % (mode, flag))
 
     def test_empty_vocabulary_refuses_to_save(self):
         model = N.good_turing(N.train([[]], 2))

@@ -171,6 +171,17 @@ class TestScore:
         assert s.value == pytest.approx(prod, abs=1e-15)
         assert s.value > 0
 
+    def test_domain_constraints_score_the_head(self):
+        onto = P.load_ontology(io.StringIO(
+            "concept PERSON\nconcept ROBOT\nconcept ROCK\nconcept WORDS\n"
+            "disjoint PERSON ROCK\n"
+            "relation SPEAKS basic WORDS domain PERSON domain-relaxable-to ROBOT\n"))
+        for head, value in (("PERSON", 1.0), ("ROBOT", 0.8), ("ROCK", 0.01)):
+            s = P.score(P.parse_interlingua("(h / %s :SPEAKS (w / WORDS))" % head), onto)
+            assert [(kind, t) for _triple, kind, t in s.factors] == \
+                [("range", 1.0), ("domain", value)]
+            assert s.value == value
+
     def test_rank_descending_and_stable(self, onto):
         good = P.parse_interlingua("(e / SAY-EVENT :AGENT (p / PERSON))")
         mid = P.parse_interlingua("(e / SAY-EVENT :AGENT (o / ORGANIZATION))")
