@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 
 from . import lattice as L
 
@@ -129,6 +130,12 @@ def train(corpus, order, mode="words") -> CountTable:
     known-word list is the corpus's own lowercase vocabulary at or above
     KNOWN_MIN_COUNT, computed in a first pass.  A letter model counts its
     tokens as they are.
+
+    Each sentence is padded with order-1 BOS marks and one EOS.  The order
+    in which each counter's keys first appear is part of the output:
+    sentence by sentence, left to right through the padded stream.
+    good_turing sums probabilities in that order, so it reaches the bytes
+    of a saved model.
     """
     if order < 2:
         raise ModelError("order must be at least 2")
@@ -137,33 +144,34 @@ def train(corpus, order, mode="words") -> CountTable:
         raise ModelError("empty corpus")
 
     known = frozenset()
-    if mode == "words":
-        low = Counter(t.lower() for s in sents for t in s)
-        known = frozenset(w for w, c in low.items() if c >= KNOWN_MIN_COUNT)
-
-    counts = {k: Counter() for k in range(1, order + 1)}
-    vocab = {BOS, EOS, UNK}
     pad = [BOS] * (order - 1)
-    for sent in sents:
-        toks = [classify_token(t, known) for t in sent] if mode == "words" else sent
-        vocab.update(toks)
-        stream = pad + toks + [EOS]
-        for k in range(1, order + 1):
-            for i in range(len(stream) - k + 1):
-                gram = tuple(stream[i:i + k])
-                if k == 1 and gram[0] == BOS:
-                    continue
-                counts[k][gram] += 1
-    return CountTable(order, counts, tuple(sorted(vocab)), known, mode, len(sents))
+    end = [EOS]
+    if mode == "words":
+        surface = Counter(chain.from_iterable(sents))
+        low = Counter()
+        for t, c in surface.items():
+            low[t.lower()] += c
+        known = frozenset(w for w, c in low.items() if c >= KNOWN_MIN_COUNT)
+        model_token = {t: classify_token(t, known) for t in surface}.__getitem__
+        streams = [pad + list(map(model_token, s)) + end for s in sents]
+    else:
+        streams = [pad + s + end for s in sents]
+
+    tokens = Counter(chain.from_iterable(streams))
+    vocab = tuple(sorted({*tokens, UNK}))
+    del tokens[BOS]  # the start pad is never a continuation
+    counts = {1: Counter({(w,): c for w, c in tokens.items()})}
+    for k in range(2, order + 1):
+        counts[k] = Counter(chain.from_iterable(
+            zip(*[s[i:] for i in range(k)]) for s in streams))
+    return CountTable(order, counts, vocab, known, mode, len(sents))
 
 
 class FreqOfFreq:
     """Frequency-of-frequency table N_r with its log-log regression."""
 
     def __init__(self, counter):
-        self.n_r = {}
-        for c in counter.values():
-            self.n_r[c] = self.n_r.get(c, 0) + 1
+        self.n_r = Counter(counter.values())
         self.ranks = tuple(sorted(self.n_r))
         self.total = sum(r * n for r, n in self.n_r.items())
         self._fit = None
@@ -255,14 +263,17 @@ class _Smoother:
         scale = (1.0 - self.unseen_mass) * fof.total / seen
         return {r: c * scale for r, c in adjusted.items()}
 
-    def seen_prob(self, count: int, denom: int, vocab_size: int) -> float:
-        """Discounted conditional probability of a seen event."""
+    def seen_probs(self, counts, denom: int, vocab_size: int) -> list:
+        """Discounted conditional probabilities of seen events, one per count."""
         if self.mode == "sgt":
-            return self._adjusted[count] / denom
+            adjusted = self._adjusted
+            return [adjusted[c] / denom for c in counts]
         if self.mode == "held-out":
-            return (1.0 - self.unseen_mass) * count / denom
+            seen = 1.0 - self.unseen_mass
+            return [seen * c / denom for c in counts]
         # add-eps
-        return (count + EPS_FALLBACK) / (denom + EPS_FALLBACK * vocab_size)
+        total = denom + EPS_FALLBACK * vocab_size
+        return [(c + EPS_FALLBACK) / total for c in counts]
 
 
 class NGramModel:
@@ -360,9 +371,7 @@ def good_turing(table: CountTable) -> NGramModel:
     sm = smoothers[1]
     uni = table.counts[1]
     denom = table.n_tokens(1)
-    seen_ps = {}
-    for (w,), c in uni.items():
-        seen_ps[w] = sm.seen_prob(c, denom, vsize)
+    seen_ps = dict(zip([g[0] for g in uni], sm.seen_probs(uni.values(), denom, vsize)))
     unseen = [w for w in vocab if w not in seen_ps]
     rest = 1.0 - _sum(seen_ps.values())
     if unseen:
@@ -375,40 +384,45 @@ def good_turing(table: CountTable) -> NGramModel:
     probs[1] = {(w,): math.log10(p) for w, p in seen_ps.items()}
     uni_linear = seen_ps  # {token: prob}, full vocabulary
 
+    log10 = math.log10
     for k in range(2, table.order + 1):
-        sm = smoothers[k]
+        seen_probs = smoothers[k].seen_probs
         grams = table.counts[k]
+        lower = probs[k - 1]
         by_hist = {}
-        for gram, c in grams.items():
-            by_hist.setdefault(gram[:-1], []).append((gram[-1], c))
+        for gram in grams:
+            by_hist.setdefault(gram[:-1], []).append(gram)
         level = {}
         alphas = {}
         for hist in sorted(by_hist):
-            pairs = by_hist[hist]
-            denom = sum(c for _w, c in pairs)
-            ps = {w: sm.seen_prob(c, denom, vsize) for w, c in pairs}
-            total_seen = _sum(ps.values())
+            if hist not in lower:
+                # save writes a backoff weight on its history's line only.
+                raise ModelError("order %d counts after %r lack a stored history" % (k, hist))
+            members = by_hist[hist]
+            cs = list(map(grams.__getitem__, members))
+            denom = sum(cs)
+            ps = seen_probs(cs, denom, vsize)
+            total_seen = _sum(ps)
             if total_seen >= 1.0 - 1e-9:
                 # Numerical guard: leave a sliver for unseen events so
                 # strict positivity survives aggressive smoothing.
                 scale = (1.0 - 1e-9) / total_seen
-                ps = {w: p * scale for w, p in ps.items()}
+                ps = [p * scale for p in ps]
                 total_seen = 1.0 - 1e-9
             leftover = 1.0 - total_seen
             # Each seen k-gram's suffix is a seen (k-1)-gram of the same
             # stream, so the lower order needs no backoff here.
             try:
                 if k == 2:
-                    seen_lower = _sum(uni_linear[w] for w in ps)
+                    seen_lower = _sum([uni_linear[g[1]] for g in members])
                 else:
-                    seen_lower = _sum(10.0 ** probs[k - 1][hist[1:] + (w,)] for w in ps)
+                    seen_lower = _sum([10.0 ** lower[g[1:]] for g in members])
             except KeyError:
                 raise ModelError("order %d counts after %r lack a lower-order suffix"
                                  % (k, hist))
             d = 1.0 - seen_lower
-            alphas[hist] = math.log10(leftover) - math.log10(d)
-            for w, p in ps.items():
-                level[hist + (w,)] = math.log10(p)
+            alphas[hist] = log10(leftover) - log10(d)
+            level.update(zip(members, map(log10, ps)))
         probs[k] = level
         backoffs[k] = alphas
 
@@ -456,20 +470,14 @@ def save(model: NGramModel, fp):
     fp.write("\\meta mode=%s classify=%d warnings=%s unseen=%s\n"
              % (model.mode, int(model.mode == "words"), ",".join(model.warnings), mass))
     if model.known:
-        fp.write("\\known\n")
-        for w in sorted(model.known):
-            fp.write(w + "\n")
+        fp.write("\\known\n" + "".join(w + "\n" for w in sorted(model.known)))
     for k in range(1, model.order + 1):
-        fp.write("\\%d-grams\n" % k)
         level = model.probs[k]
         backs = model.backoffs.get(k + 1, {})
-        for gram in sorted(level):
-            parts = [repr(level[gram])] + list(gram)
-            if k < model.order and gram in backs:
-                parts.append(repr(backs[gram]))
-            fp.write(" ".join(parts) + "\n")
-        # Histories can carry backoff weights without being stored
-        # n-grams themselves (they always are here, but keep load simple).
+        fp.write("\\%d-grams\n" % k + "".join(
+            "%r %s %r\n" % (level[gram], " ".join(gram), backs[gram]) if gram in backs
+            else "%r %s\n" % (level[gram], " ".join(gram))
+            for gram in sorted(level)))
     fp.write("\\end\n")
 
 
@@ -487,6 +495,8 @@ def load(fp) -> NGramModel:
         raise ModelError("missing meta line")
     fields = dict(f.split("=", 1) for f in meta[1:] if "=" in f)
     mode = fields.get("mode", "words")
+    if mode not in ("words", "letters"):
+        raise ModelError("unknown model mode %r" % mode)
     if mode == "words" and fields.get("classify", "1") != "1":
         raise ModelError("word models always classify tokens (classify=%s)" % fields["classify"])
     warnings = tuple(w for w in fields.get("warnings", "").split(",") if w)
@@ -508,35 +518,37 @@ def load(fp) -> NGramModel:
         line = line.rstrip("\n")
         if not line:
             continue
-        if line == "\\end":
-            ended = True
-            break
-        if line == "\\known":
-            section = "known"
-            continue
-        if line.startswith("\\") and line.endswith("-grams"):
-            section = int(line[1:-6]) if line[1:-6].isdecimal() else 0
-            if section < 1 or section > order:
-                raise ModelError("unexpected section %r" % line)
-            continue
+        if line[0] == "\\":
+            if line == "\\end":
+                ended = True
+                break
+            if line == "\\known":
+                section = "known"
+                continue
+            if line.endswith("-grams"):
+                section = int(line[1:-6]) if line[1:-6].isdecimal() else 0
+                if section < 1 or section > order:
+                    raise ModelError("unexpected section %r" % line)
+                level, backs = probs[section], backoffs.get(section + 1)
+                width = section + 1
+                continue
         if section == "known":
             known.add(line.strip())
             continue
         if section is None:
             raise ModelError("content before any section: %r" % line)
         parts = line.split(" ")
-        k = section
         try:
-            if len(parts) == k + 1:
-                lp, gram = float(parts[0]), tuple(parts[1:])
-            elif len(parts) == k + 2 and k < order:
-                lp, gram = float(parts[0]), tuple(parts[1:-1])
-                backoffs[k + 1][gram] = float(parts[-1])
+            if len(parts) == width:
+                level[tuple(parts[1:])] = float(parts[0])
+            elif len(parts) == width + 1 and backs is not None:
+                gram = tuple(parts[1:-1])
+                backs[gram] = float(parts[-1])
+                level[gram] = float(parts[0])
             else:
                 raise ValueError
         except ValueError:
-            raise ModelError("bad %d-gram line: %r" % (k, line))
-        probs[k][gram] = lp
+            raise ModelError("bad %d-gram line: %r" % (section, line))
     if not ended:
         raise ModelError("truncated model file (missing \\end)")
     for level in (unseen, *probs.values(), *backoffs.values()):

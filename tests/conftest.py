@@ -51,6 +51,21 @@ def random_corpus(rng: random.Random, n_sentences=20):
     return corpus
 
 
+# Sentences that exercise train's edge cases: literal pads, tuple
+# sentences, a blank line (dropped), a whitespace-only line (an empty
+# sentence), numerals and capitalized words.
+ODD_SENTENCES = [
+    "<s> plan </s>",
+    ("Tanaka", "<s>", "1994"),
+    "",
+    "   ",
+    "The company paid 3,000 or 40%",
+    ("new", "law", "</s>", "2.5"),
+    "Reform of the Agency in 1994",
+    "the agency of Tanaka",
+]
+
+
 def random_model(rng: random.Random, order=None) -> ngram.NGramModel:
     order = order or rng.choice([2, 2, 3])
     return ngram.good_turing(ngram.train(random_corpus(rng), order))

@@ -8,11 +8,34 @@ import pytest
 from gapfill import fixtures
 from gapfill import ngram as N
 
-from conftest import random_corpus, s3_model_with_unigram_renamed
+from conftest import ODD_SENTENCES, random_corpus, s3_model_with_unigram_renamed
 
 
 def model_for(corpus, order=2):
     return N.good_turing(N.train(corpus, order))
+
+
+def reference_counts(corpus, order, mode):
+    """train's counts by the plain nested loop over every position and
+    order, as (counts, vocab, known, sentence_count)."""
+    sents = N._as_sentences(corpus)
+    known = frozenset()
+    if mode == "words":
+        low = Counter(t.lower() for s in sents for t in s)
+        known = frozenset(w for w, c in low.items() if c >= N.KNOWN_MIN_COUNT)
+    counts = {k: Counter() for k in range(1, order + 1)}
+    vocab = {N.BOS, N.EOS, N.UNK}
+    for sent in sents:
+        toks = [N.classify_token(t, known) for t in sent] if mode == "words" else sent
+        vocab.update(toks)
+        stream = [N.BOS] * (order - 1) + toks + [N.EOS]
+        for k in range(1, order + 1):
+            for i in range(len(stream) - k + 1):
+                gram = tuple(stream[i:i + k])
+                if k == 1 and gram[0] == N.BOS:
+                    continue
+                counts[k][gram] += 1
+    return counts, tuple(sorted(vocab)), known, len(sents)
 
 
 class TestClassify:
@@ -54,6 +77,25 @@ class TestTrain:
     def test_empty_corpus_is_error(self):
         with pytest.raises(N.ModelError):
             N.train([], 2)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_counts_and_their_order_match_the_reference(self, rng, order):
+        # good_turing sums in the order counts first appear, so the order
+        # is compared too, not only the counts.
+        words = [w for w in fixtures.letter_words() if w.strip()]
+        for _ in range(5):
+            corpora = [
+                ("words", random_corpus(rng, 40) + ODD_SENTENCES),
+                ("words", rng.sample(ODD_SENTENCES, 5) + random_corpus(rng, 10)),
+                ("letters", [N.letters(w) for w in rng.sample(words, 30)] + [[]]),
+            ]
+            for mode, corpus in corpora:
+                table = N.train(corpus, order, mode=mode)
+                counts, vocab, known, n_sents = reference_counts(corpus, order, mode)
+                for k in range(1, order + 1):
+                    assert list(table.counts[k].items()) == list(counts[k].items())
+                assert sorted(table.counts) == list(range(1, order + 1))
+                assert (table.vocab, table.known, table.sentence_count) == (vocab, known, n_sents)
 
     def test_marginal_consistency(self, rng):
         # count(h) = sum of counts of its extensions, plus the times h
@@ -146,6 +188,17 @@ class TestGoodTuring:
         with pytest.raises(N.ModelError, match="suffix"):
             N.good_turing(table)
 
+    def test_history_outside_the_model_is_a_model_error(self):
+        # No unigram "a": save would have no line for the backoff weight
+        # of the history ("a",), and the loaded model would lose it.
+        table = N.CountTable(
+            2,
+            {1: Counter({("b",): 2, ("</s>",): 1}),
+             2: Counter({("a", "b"): 1, ("<s>", "b"): 1, ("b", "</s>"): 1, ("b", "b"): 1})},
+            ("</s>", "<s>", "<unk>", "b"), frozenset(), "words", 1)
+        with pytest.raises(N.ModelError, match="stored history"):
+            N.good_turing(table)
+
     def test_unseen_events_strictly_positive(self, rng):
         for _ in range(10):
             model = N.good_turing(N.train(random_corpus(rng), 2))
@@ -204,6 +257,7 @@ class TestSaveLoad:
             N.save(model, buf)
             buf.seek(0)
             again = N.load(buf)
+            assert again.probs == model.probs and again.backoffs == model.backoffs
             for _ in range(50):
                 sent = [rng.choice(model.vocab + ("qqq", "Xyz", "123"))
                         for _ in range(rng.randint(0, 6))]
@@ -234,6 +288,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("old, new, message", [
         ("order=2", "order=two", "bad model header"),
+        ("mode=words", "mode=foo", "unknown model mode"),
         ("\\meta", "\\beta", "missing meta line"),
         ("unseen=1:", "unseen=1:x,1:", "bad unseen mass"),
         ("vocab=40", "vocab=41", "vocab size mismatch"),
