@@ -25,8 +25,9 @@ lat = L.build(
     ],
 )
 
-# Validation checks acyclicity and that every state is on a start-final
-# path; only validated lattices may be traversed.
+# `build` validates every lattice: it checks acyclicity and that every
+# state is on a start-final path.  `validate` raises `LatticeError` on a
+# broken lattice, so on a built one it returns None.
 violation = L.validate(lat)
 print("validation:", violation or "ok")
 
@@ -39,7 +40,6 @@ for p in L.enumerate_paths(lat, limit=10):
 # Lattices combine like regular expressions: concatenation multiplies
 # path counts, union adds them.
 tail = L.build(range(2), 0, 1, [(0, 1, L.word("badly"), 0.0)])
-L.validate(tail)
 print("after concat:", L.path_count(L.concat(lat, tail)))
 
 # The text format round-trips through one header line plus one line per

@@ -64,6 +64,23 @@ def _load(path, reader):
                         % (path, e.start, e.reason))
 
 
+def _stdin_lines():
+    """Lines of stdin as text-mode stdin splits them (universal newlines,
+    each ending read as "\n"), decoded as strict UTF-8 whatever the locale.
+    A line that is not UTF-8 fails with exit 4, as _load fails on a file."""
+    lineno = 0
+    for chunk in sys.stdin.buffer:
+        for raw in chunk.splitlines(keepends=True):
+            lineno += 1
+            body = raw.rstrip(b"\r\n")
+            try:
+                text = body.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise _Fail(FORMAT_STATUS, "<stdin> line %d: not UTF-8 text (byte %d: %s)"
+                            % (lineno, e.start, e.reason))
+            yield text + "\n" if len(body) < len(raw) else text
+
+
 def _seed(default):
     env = os.environ.get("GAPFILL_SEED")
     if env is None:
@@ -125,7 +142,7 @@ def _cmd_lm(args):
         _write(args, ngram.save, model)
         return 0
     model = _load(args.model, ngram.load)
-    for line in sys.stdin:
+    for line in _stdin_lines():
         line = line.strip()
         if not line:
             continue
@@ -209,7 +226,7 @@ def _cmd_postedit(args):
         instances = _load(args.heldout, postedit.read_instances)
         sys.stdout.write("accuracy\t%s\n" % repr(postedit.evaluate(tree, instances)))
         return 0
-    for line in sys.stdin:
+    for line in _stdin_lines():
         if not line.strip():
             sys.stdout.write(line)
             continue

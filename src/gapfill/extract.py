@@ -49,7 +49,6 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
     scores the edge once per distinct context: hypotheses that share a
     (context, edge) share its LM increments and next context.
     """
-    lat.ensure_validated()
     if n < 1:
         raise ExtractError("n must be at least 1")
     if beam is not None and beam < 1:
@@ -62,7 +61,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
 
     # Longest-path rank from the start; hypotheses are pooled and pruned
     # per rank layer when the beam is on.  Final ranks last: every state
-    # of a validated lattice reaches it.
+    # of a lattice reaches it.
     rank = [0] * lat.n
     for s in lat._order:
         for (_a, dst, _t, _w) in lat.out_edges(s):
@@ -164,7 +163,6 @@ def brute_force_nbest(lat, model, n, lm_weight=1.0, trans_weight=1.0,
 
 def random_path(lat, seed) -> L.WordPath:
     """Uniform-over-transitions random walk from start to final."""
-    lat.ensure_validated()
     rng = random.Random(seed)
     state = lat.start
     tokens = []

@@ -201,11 +201,7 @@ def compile_gloss(g: GlossStructure) -> Lattice:
             stack.extend((child, src, dst) for child in reversed(node.children))
         else:
             raise GlossError("unknown gloss node %r" % (node,))
-    lat = lattice.build(range(count), 0, 1, arcs)
-    v = lattice.validate(lat)
-    if v is not None:
-        raise GlossError("compiled lattice failed validation (%s)" % v)
-    return lat
+    return lattice.build(range(count), 0, 1, arcs)
 
 
 def denoted_count(g: GlossStructure) -> int:
@@ -292,7 +288,6 @@ def apply_morphology(lat: Lattice, table=None) -> Lattice:
     output contains no morph tokens.  A morph transition with no word
     transition entering its source state is an error.
     """
-    lat.ensure_validated()
     morph_edges = [t for t in lat.transitions if t[2].kind == lattice.MORPH]
     if not morph_edges:
         return lat
@@ -326,9 +321,5 @@ def apply_morphology(lat: Lattice, table=None) -> Lattice:
     # Number the surviving states densely, keeping their relative order.
     alive = sorted({lat.start, lat.final} | {t[0] for t in trans} | {t[1] for t in trans})
     ids = {s: i for i, s in enumerate(alive)}
-    out = lattice.build(range(len(alive)), ids[lat.start], ids[lat.final],
-                        [(ids[s], ids[d], tok, w) for (s, d, tok, w) in trans])
-    v = lattice.validate(out)
-    if v is not None:
-        raise GlossError("morphology produced an invalid lattice (%s)" % v)
-    return out
+    return lattice.build(range(len(alive)), ids[lat.start], ids[lat.final],
+                         [(ids[s], ids[d], tok, w) for (s, d, tok, w) in trans])

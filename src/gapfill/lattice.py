@@ -4,23 +4,22 @@ A lattice has states 0..n-1, one start and one final state; every
 start-to-final path spells a candidate token sequence.  Lattices are the
 exchange structure between the glosser, the transliterator, and the
 n-best extractor.  Weights are log10 scores carried on transitions
-(0.0 = probability one).
+(0.0 = probability one).  `build` validates every lattice; `validate`
+raises `LatticeError`, so a Lattice value is always well-formed.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
 from dataclasses import dataclass
 
-from .records import records
+from .records import finite, records
 
 __all__ = [
     "Token",
     "Lattice",
     "WordPath",
-    "Violation",
     "LatticeError",
     "word",
     "empty",
@@ -108,19 +107,9 @@ def fragment(letters: str) -> Token:
     return Token(FRAG, letters)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First invariant broken by a lattice, with the ids involved."""
-
-    kind: str  # "cycle" | "unreachable" | "dead-end"
-    detail: str
-
-    def __str__(self):
-        return "%s: %s" % (self.kind, self.detail)
-
-
 class Lattice:
-    """Directed acyclic lattice over states 0..n-1.  Immutable once validated."""
+    """Directed acyclic lattice over states 0..n-1; immutable.  Make one
+    with build(), which validates it."""
 
     def __init__(self, n, start, final, transitions):
         self.n = n
@@ -131,7 +120,6 @@ class Lattice:
         self.transitions = tuple(
             (int(src), int(dst), tok, float(w)) for (src, dst, tok, w) in transitions
         )
-        self._validated = False
         self._order = None  # topological order, filled in by validate()
         # One tuple of out-arcs per state, ordered for deterministic walks.
         adj = [[] for _ in self.states]
@@ -140,23 +128,16 @@ class Lattice:
         self._adj = tuple(tuple(sorted(ts, key=lambda t: (t[2].sort_key(), t[1], t[3])))
                           for ts in adj)
 
-    @property
-    def validated(self) -> bool:
-        return self._validated
-
     def out_edges(self, state):
         return self._adj[state]
 
-    def ensure_validated(self):
-        if not self._validated:
-            raise LatticeError("lattice has not been validated")
-
 
 def build(states, start, final, transitions) -> Lattice:
-    """Assemble an unvalidated lattice; explicit validate() comes after.
+    """Assemble and validate a lattice.
 
-    Raises LatticeError unless states are exactly 0..n-1 in order and
-    start, final and every transition endpoint are among them.
+    Raises LatticeError unless states are exactly 0..n-1 in order,
+    start, final and every transition endpoint are among them, and
+    validate() accepts the result.
     """
     states = list(states)
     ids = range(len(states))
@@ -171,15 +152,17 @@ def build(states, start, final, transitions) -> Lattice:
             raise LatticeError("transition %r -> %r references unknown state" % (src, dst))
         if not isinstance(tok, Token):
             raise LatticeError("transition label must be a Token, got %r" % (tok,))
-    return Lattice(len(ids), start, final, transitions)
+    lat = Lattice(len(ids), start, final, transitions)
+    validate(lat)
+    return lat
 
 
-def validate(lat: Lattice):
-    """Check all lattice invariants.
+def validate(lat: Lattice) -> None:
+    """Check that lat is acyclic and every state lies on a start-final path.
 
-    Returns None when the lattice is well-formed (and marks it immutable
-    and ready for path operations); otherwise returns the first
-    Violation found.  Violations are values, not exceptions.
+    Returns None and records the topological order; otherwise raises
+    LatticeError naming the first broken invariant, as `cycle: ...`,
+    `unreachable: ...` or `dead-end: ...`.
     """
     # Kahn topological sort doubles as the cycle check.
     n, adj = lat.n, lat._adj
@@ -197,7 +180,7 @@ def validate(lat: Lattice):
                 queue.append(dst)
     if len(order) != n:
         stuck = [s for s in range(n) if indeg[s] > 0]
-        return Violation("cycle", "states on a cycle: %s" % ", ".join(map(str, stuck)))
+        raise LatticeError("cycle: states on a cycle: %s" % ", ".join(map(str, stuck)))
 
     # Reachability forward over the topological order, co-reachability backward.
     reachable = [False] * n
@@ -214,24 +197,12 @@ def validate(lat: Lattice):
     for s in range(n):
         if not (reachable[s] and coreach[s]):
             kind = "unreachable" if not reachable[s] else "dead-end"
-            return Violation(kind, "state %d is on no start-final path" % s)
-
+            raise LatticeError("%s: state %d is on no start-final path" % (kind, s))
     lat._order = tuple(order)
-    lat._validated = True
-    return None
-
-
-def _validated_copy(states, start, final, transitions) -> Lattice:
-    lat = build(states, start, final, transitions)
-    v = validate(lat)
-    if v is not None:
-        raise LatticeError("construction produced an invalid lattice (%s)" % v)
-    return lat
 
 
 def path_count(lat: Lattice) -> int:
     """Exact number of start-final transition sequences, one DP pass."""
-    lat.ensure_validated()
     ways = [0] * lat.n
     ways[lat.start] = 1
     for s in lat._order:
@@ -324,18 +295,14 @@ def _arcs(lat: Lattice, ids):
 
 def concat(a: Lattice, b: Lattice) -> Lattice:
     """Join every path of a with every path of b (a's final = b's start)."""
-    a.ensure_validated()
-    b.ensure_validated()
     ia = _topo_ids(a)
     ib = _topo_ids(b, ia[a.final])
     final = ib[b.final]
-    return _validated_copy(range(final + 1), 0, final, _arcs(a, ia) + _arcs(b, ib))
+    return build(range(final + 1), 0, final, _arcs(a, ia) + _arcs(b, ib))
 
 
 def union(a: Lattice, b: Lattice) -> Lattice:
     """Accept any path of a or of b (shared start and final states)."""
-    a.ensure_validated()
-    b.ensure_validated()
     if a.start == a.final or b.start == b.final:
         raise LatticeError("union over a zero-transition lattice is not representable")
     ia = _topo_ids(a)
@@ -343,7 +310,7 @@ def union(a: Lattice, b: Lattice) -> Lattice:
     # b's inner states follow a's final; its start and final merge into a's.
     ib = _topo_ids(b, final)
     ib[b.start], ib[b.final] = 0, final
-    return _validated_copy(range(a.n + b.n - 2), 0, final, _arcs(a, ia) + _arcs(b, ib))
+    return build(range(a.n + b.n - 2), 0, final, _arcs(a, ia) + _arcs(b, ib))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +371,6 @@ _FIELD = re.compile(r'(?:[^\s"]|"(?:\\.|[^"\\]|\\$)*"?)+', re.DOTALL)
 
 
 def write_lattice(lat: Lattice, fp):
-    lat.ensure_validated()
     ids = _topo_ids(lat)
     fp.write("LATTICE v1 %d %d %d\n" % (lat.n, ids[lat.start], ids[lat.final]))
     for (src, dst, tok, w) in lat.transitions:
@@ -426,14 +392,8 @@ def read_lattice(fp) -> Lattice:
         if len(fields) != 4:
             raise LatticeError("line %d: expected 4 fields, got %d" % (lineno, len(fields)))
         try:
-            src, dst, wt = int(fields[0]), int(fields[1]), float(fields[3])
-            if not math.isfinite(wt):
-                raise ValueError
+            src, dst, wt = int(fields[0]), int(fields[1]), finite(fields[3])
         except ValueError:
             raise LatticeError("line %d: bad state id or non-finite weight" % lineno)
         transitions.append((src, dst, _parse_token(fields[2]), wt))
-    lat = build(range(nstates), start, final, transitions)
-    v = validate(lat)
-    if v is not None:
-        raise LatticeError("lattice file invalid (%s)" % v)
-    return lat
+    return build(range(nstates), start, final, transitions)

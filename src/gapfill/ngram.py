@@ -92,7 +92,11 @@ def letters(text: str):
 
 
 def _as_sentences(corpus):
-    sents = []
+    """Token lists of the corpus.  A str sentence splits at whitespace; a
+    tuple or list sentence is taken as it is, so each of its distinct
+    tokens is checked once: a model file cannot hold an empty token or
+    one with whitespace in it."""
+    sents, listed = [], []
     for item in corpus:
         if isinstance(item, str):
             toks = item.split()
@@ -101,6 +105,10 @@ def _as_sentences(corpus):
             sents.append(toks)
         else:
             sents.append(list(item))
+            listed.append(sents[-1])
+    for t in dict.fromkeys(chain.from_iterable(listed)):
+        if t.split() != [t]:
+            raise ModelError("token %r is empty or holds whitespace" % (t,))
     return sents
 
 
@@ -136,6 +144,10 @@ def train(corpus, order, mode="words") -> CountTable:
     sentence by sentence, left to right through the padded stream.
     good_turing sums probabilities in that order, so it reaches the bytes
     of a saved model.
+
+    Refuses (ModelError) what a saved model could not hold: an empty
+    token or one with whitespace, and a known word that reads as a
+    section line such as `\\end`.
     """
     if order < 2:
         raise ModelError("order must be at least 2")
@@ -152,6 +164,12 @@ def train(corpus, order, mode="words") -> CountTable:
         for t, c in surface.items():
             low[t.lower()] += c
         known = frozenset(w for w, c in low.items() if c >= KNOWN_MIN_COUNT)
+        # load would read these known words as section lines.
+        marks = sorted(w for w in known if w in ("\\end", "\\known")
+                       or (w[:1] == "\\" and w.endswith("-grams")))
+        if marks:
+            raise ModelError("known word %r reads as a section line of a model file"
+                             % marks[0])
         model_token = {t: classify_token(t, known) for t in surface}.__getitem__
         streams = [pad + list(map(model_token, s)) + end for s in sents]
     else:

@@ -3,8 +3,11 @@
 A record is one line of a text file, stripped of surrounding whitespace.
 Blank lines and lines that start with `#` once stripped are not records.
 Each reader splits its records into fields and checks them itself; a
-corpus is just its records, one sentence or word each.
+corpus is just its records, one sentence or word each.  finite() reads
+a number field.
 """
+
+import math
 
 
 def records(fp, start=1):
@@ -14,6 +17,14 @@ def records(fp, start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def finite(field):
+    """float(field), raising ValueError unless it is a finite number."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number: %r" % field)
+    return value
 
 
 def record_lines(fp):

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .ngram import _sum
-from .records import records
+from .records import finite, records
 
 __all__ = [
     "GrammarError",
@@ -379,9 +379,7 @@ def read_suspicion(fp) -> SuspicionTable:
     for lineno, line in records(fp):
         parts = line.split("\t")
         try:
-            value = float(parts[-1])
-            if not math.isfinite(value):
-                raise ValueError
+            value = finite(parts[-1])
             if parts[0] == "*default*" and len(parts) == 2:
                 default = value
             elif len(parts) == 3:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from . import extract, lattice, ngram
-from .records import records
+from .records import finite, records
 
 __all__ = [
     "TranslitError",
@@ -144,9 +144,7 @@ def read_table(fp) -> TransliterationTable:
         if len(parts) != 4:
             raise TranslitError("table line %d: expected 4 tab-separated fields" % lineno)
         try:
-            lp = float(parts[3])
-            if not math.isfinite(lp):
-                raise ValueError
+            lp = finite(parts[3])
         except ValueError:
             raise TranslitError("table line %d: bad or non-finite log probability" % lineno)
         entries.append((parts[0], parts[1], parts[2], lp))
@@ -202,11 +200,7 @@ def candidate_lattice(words, table: TransliterationTable) -> lattice.Lattice:
             for frag in sorted(row):
                 transitions.append((state, state + 1, lattice.fragment(frag), row[frag]))
             state += 1
-    lat = lattice.build(range(state + 1), 0, state, transitions)
-    v = lattice.validate(lat)
-    if v is not None:
-        raise TranslitError("candidate lattice invalid (%s)" % v)
-    return lat
+    return lattice.build(range(state + 1), 0, state, transitions)
 
 
 def train_letter_model(words) -> ngram.NGramModel:

@@ -42,6 +42,37 @@ def random_lattice(rng: random.Random, max_states=12, empty_rate=0.15,
     return lat
 
 
+NOUNS = ["plan", "company", "law", "agency", "market", "policy", "child"]
+
+
+def random_gloss_text(rng: random.Random, max_phrases=4) -> str:
+    """Gloss text of noun phrases joined by words: each phrase is an
+    optional article, one noun or a choice of nouns, and a plural marker
+    that is optional, mandatory or absent."""
+    slots = []
+    for k in range(rng.randint(1, max_phrases)):
+        if k:
+            slots.append('"%s"' % rng.choice(["of", "in", "new", "old"]))
+        slots.append('(*OR* "a" "the" "*empty*")')
+        nouns = rng.sample(NOUNS, rng.randint(1, 3))
+        slots.append('"%s"' % nouns[0] if len(nouns) == 1
+                     else "(*OR* %s)" % " ".join('"%s"' % w for w in nouns))
+        plural = rng.choice(['(*OR* "+plural" "*empty*")', '"+plural"', None])
+        if plural:
+            slots.append(plural)
+    return "(GLOSS (%s))" % " ".join("(OP%d %s)" % (i + 1, s) for i, s in enumerate(slots))
+
+
+# Lattice files that read field by field but break one structural rule:
+# a self-loop, a state no path from start reaches, and a state no path
+# to final leaves.
+INVALID_LATTICES = {
+    "cycle": "LATTICE v1 3 0 2\n0 1 a 0.0\n1 1 b 0.0\n1 2 c 0.0\n",
+    "unreachable": "LATTICE v1 3 0 1\n0 1 a 0.0\n2 1 b 0.0\n",
+    "dead-end": "LATTICE v1 3 0 1\n0 1 a 0.0\n0 2 b 0.0\n",
+}
+
+
 def random_corpus(rng: random.Random, n_sentences=20):
     vocab = WORDS + EXTRA
     corpus = []

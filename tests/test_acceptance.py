@@ -303,7 +303,7 @@ def test_9_structural_invariants():
             lat = gloss.apply_morphology(gloss.compile_gloss(g))
         except gloss.GlossError:
             continue  # a morph landed with no word before it
-        assert lat.validated
+        assert L.validate(lat) is None
         assert all(t[2].kind != "morph" for t in lat.transitions)
         assert all(not piece.startswith("+")
                    for p in L.enumerate_paths(lat, 4000)

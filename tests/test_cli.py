@@ -5,13 +5,20 @@ import pytest
 
 from gapfill import cli, fixtures, postedit, skipparse
 
-from conftest import deep_or_text, s3_model_with_unigram_renamed
+from conftest import INVALID_LATTICES, deep_or_text, s3_model_with_unigram_renamed
 
 
 def run(capsys, *argv):
     status = cli.dispatch(list(argv))
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def stdin(data):
+    """Stand-in for sys.stdin: strict UTF-8 text over bytes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +66,14 @@ class TestStatusCodes:
                                 str(fixtures.path("s3.lm")))
         assert status == 4 and "non-finite weight" in err
 
+    @pytest.mark.parametrize("kind", sorted(INVALID_LATTICES))
+    def test_structurally_invalid_lattice_is_format_error(self, tmp_path, capsys, kind):
+        lat = tmp_path / "bad.lat"
+        lat.write_text(INVALID_LATTICES[kind])
+        status, _out, err = run(capsys, "extract", str(lat), "--model",
+                                str(fixtures.path("s3.lm")))
+        assert status == 4 and "%s: " % kind in err
+
     @pytest.mark.parametrize("tree", [
         "node head\n  value x\n    leaf DEF:1 INDEF:0 NONE:0\n",
         "leaf DEF:one INDEF:0 NONE:0\n",
@@ -66,9 +81,21 @@ class TestStatusCodes:
     def test_malformed_tree_is_format_error(self, tmp_path, capsys, monkeypatch, tree):
         path = tmp_path / "bad.dt"
         path.write_text(tree)
-        monkeypatch.setattr("sys.stdin", io.StringIO("dog barks\n"))
+        monkeypatch.setattr("sys.stdin", stdin("dog barks\n"))
         status, _out, err = run(capsys, "postedit", "run", str(path))
         assert status == 4 and "tree line 1" in err
+
+    @pytest.mark.parametrize("command", ["lm score", "postedit run"])
+    def test_undecodable_stdin_is_format_error(self, tmp_path, capsys, monkeypatch,
+                                               article_tree, command):
+        tree_path = tmp_path / "tree.dt"
+        with tree_path.open("w") as f:
+            postedit.save_tree(article_tree, f)
+        model = {"lm score": fixtures.path("s8.lm"), "postedit run": tree_path}[command]
+        monkeypatch.setattr("sys.stdin", stdin(b"the new company\nthe \xff plans\n"))
+        status, _out, err = run(capsys, *command.split(), str(model))
+        assert status == 4
+        assert err == "gapfill: <stdin> line 2: not UTF-8 text (byte 4: invalid start byte)\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["lm", "train", "{empty}"], "empty corpus"),
@@ -105,7 +132,7 @@ class TestStatusCodes:
                                                             monkeypatch, token):
         path = tmp_path / "bad.lm"
         path.write_text(s3_model_with_unigram_renamed(token))
-        monkeypatch.setattr("sys.stdin", io.StringIO("planned economy\n"))
+        monkeypatch.setattr("sys.stdin", stdin("planned economy\n"))
         status, out, err = run(capsys, "lm", "score", str(path))
         assert (status, out) == (4, "") and "lacks the %s unigram" % token in err
 
@@ -284,7 +311,7 @@ class TestPipelines:
                                 str(fixtures.path("article_corpus.txt")),
                                 "-o", str(tree_path))
         assert status == 0, err
-        monkeypatch.setattr("sys.stdin", io.StringIO("dog barked\n"))
+        monkeypatch.setattr("sys.stdin", stdin("dog barked\n"))
         status, out, _err = run(capsys, "postedit", "run", str(tree_path))
         assert status == 0
         assert out.strip().endswith("dog barked")
@@ -293,25 +320,31 @@ class TestPipelines:
         tree_path = tmp_path / "tree.dt"
         with tree_path.open("w") as f:
             postedit.save_tree(article_tree, f)
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ndog barked\n"))
+        monkeypatch.setattr("sys.stdin", stdin("\ndog barked\n"))
         status, out, _err = run(capsys, "postedit", "run", str(tree_path))
         assert status == 0 and out.startswith("\n") and out.strip().endswith("dog barked")
 
     def test_lm_score_skips_blank_lines(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("\nthe new company plans\n  \n"))
+        monkeypatch.setattr("sys.stdin", stdin("\nthe new company plans\n  \n"))
         status, out, _err = run(capsys, "lm", "score", str(fixtures.path("s8.lm")))
         assert status == 0 and out.count("\n") == 1
         assert out.endswith("\tthe new company plans\n")
 
+    def test_lm_score_reads_universal_newlines(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin(b"the new\rcompany plans\r\n"))
+        status, out, _err = run(capsys, "lm", "score", str(fixtures.path("s8.lm")))
+        assert status == 0
+        assert [line.split("\t")[1] for line in out.splitlines()] == ["the new", "company plans"]
+
     def test_lm_score_deterministic(self, capsys, monkeypatch):
         for _ in range(2):
-            monkeypatch.setattr("sys.stdin", io.StringIO("the new company plans\n"))
+            monkeypatch.setattr("sys.stdin", stdin("the new company plans\n"))
             status, out, _err = run(capsys, "lm", "score", str(fixtures.path("s8.lm")))
             assert status == 0
         # identical invocations print identical scores
-        monkeypatch.setattr("sys.stdin", io.StringIO("the new company plans\n"))
+        monkeypatch.setattr("sys.stdin", stdin("the new company plans\n"))
         _s, out1, _e = run(capsys, "lm", "score", str(fixtures.path("s8.lm")))
-        monkeypatch.setattr("sys.stdin", io.StringIO("the new company plans\n"))
+        monkeypatch.setattr("sys.stdin", stdin("the new company plans\n"))
         _s, out2, _e = run(capsys, "lm", "score", str(fixtures.path("s8.lm")))
         assert out1 == out2
 

@@ -4,6 +4,7 @@ A change that alters one of these outputs must say so and why; only then
 rewrite the table, with `PYTHONPATH=src python tests/test_digests.py`.
 """
 
+import functools
 import hashlib
 import io
 import json
@@ -12,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from gapfill import fixtures, ngram, translit
+from gapfill import extract, fixtures, gloss, lattice, ngram, translit
 
-from conftest import ODD_SENTENCES, random_corpus
+from conftest import ODD_SENTENCES, random_corpus, random_gloss_text
 
 TABLE = Path(__file__).with_name("digests.json")
 
@@ -42,26 +43,90 @@ SAVED_MODELS = {
 }
 
 
-def saved_digest(build):
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _written(writer, obj):
+    """The text writer(obj, fp) writes."""
     buf = io.StringIO()
-    ngram.save(build(), buf)
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    writer(obj, buf)
+    return buf.getvalue()
+
+
+def saved_digest(build):
+    return _sha(_written(ngram.save, build()))
+
+
+def _glosses(name):
+    if name == "random20":
+        rng = random.Random(5)
+        return [random_gloss_text(rng) for _ in range(20)]
+    return [fixtures.read_text("%s.gloss" % name)]
+
+
+def _lattice_bytes(name):
+    """write_lattice bytes of each gloss compiled, then morphed."""
+    out = []
+    for text in _glosses(name):
+        lat = gloss.compile_gloss(gloss.parse_gloss(text))
+        out += [_written(lattice.write_lattice, lat),
+                _written(lattice.write_lattice, gloss.apply_morphology(lat))]
+    return "".join(out)
+
+
+def _nbest_ranked(order, beam):
+    """nbest ranked lists over every morphed gloss lattice, under a word
+    model trained on the s8 corpus plus seeded random sentences."""
+    model = _word_model(fixtures.corpus_lines("s8_corpus.txt") + _random(8, 60), order)
+    ranked = []
+    for name in LATTICE_GLOSSES:
+        for text in _glosses(name):
+            lat = gloss.apply_morphology(gloss.compile_gloss(gloss.parse_gloss(text)))
+            ranked.append(extract.nbest(lat, model, 5, beam=beam).ranked)
+    return repr(ranked)
+
+
+def _back_transliterated():
+    table, model = fixtures.translit_table(), fixtures.letter_model()
+    return repr([translit.back_transliterate(romaji, table, model, n=3)
+                 for romaji, _english, _units in fixtures.translit_pairs()])
+
+
+LATTICE_GLOSSES = ("s3", "s8", "full", "random20")
+
+OUTPUTS = {
+    **{"lattice.write/" + name: functools.partial(_lattice_bytes, name)
+       for name in LATTICE_GLOSSES},
+    "extract.nbest/bigram-exact": functools.partial(_nbest_ranked, 2, None),
+    "extract.nbest/trigram-exact": functools.partial(_nbest_ranked, 3, None),
+    "extract.nbest/trigram-beam": functools.partial(_nbest_ranked, 3, 4),
+    "translit.back_transliterate/pairs60": _back_transliterated,
+}
 
 
 def current_table():
-    return {"ngram.save/" + name: saved_digest(build)
-            for name, build in sorted(SAVED_MODELS.items())}
+    table = {"ngram.save/" + name: saved_digest(build)
+             for name, build in sorted(SAVED_MODELS.items())}
+    table.update((name, _sha(output())) for name, output in OUTPUTS.items())
+    return table
 
 
 def test_table_names_every_case():
     assert sorted(json.loads(TABLE.read_text())) == sorted(
-        "ngram.save/" + name for name in SAVED_MODELS)
+        ["ngram.save/" + name for name in SAVED_MODELS] + list(OUTPUTS))
 
 
 @pytest.mark.parametrize("name", sorted(SAVED_MODELS))
 def test_saved_model_bytes_are_pinned(name):
     table = json.loads(TABLE.read_text())
     assert saved_digest(SAVED_MODELS[name]) == table["ngram.save/" + name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_output_bytes_are_pinned(name):
+    table = json.loads(TABLE.read_text())
+    assert _sha(OUTPUTS[name]()) == table[name]
 
 
 if __name__ == "__main__":

@@ -39,11 +39,6 @@ class TestNBest:
         with pytest.raises(X.ExtractError):
             X.nbest(single_path_lattice(), tiny_model(), 1, beam=0)
 
-    def test_unvalidated_lattice_is_error(self):
-        lat = L.build([0, 1], 0, 1, [(0, 1, L.word("a"), 0.0)])
-        with pytest.raises(L.LatticeError):
-            X.nbest(lat, tiny_model(), 1)
-
     def test_matches_brute_force_exhaustively(self, rng):
         for _ in range(150):
             lat = random_lattice(rng)

@@ -5,7 +5,7 @@ import pytest
 
 from gapfill import lattice as L
 
-from conftest import random_lattice
+from conftest import INVALID_LATTICES, random_lattice
 
 
 def chain(*words):
@@ -89,19 +89,12 @@ class TestValidate:
         assert L.validate(chain("a", "b")) is None
 
     def test_self_loop_reports_cycle(self):
-        lat = L.build([0, 1], 0, 1, [(0, 1, L.word("a"), 0.0), (1, 1, L.word("b"), 0.0)])
-        v = L.validate(lat)
-        assert v is not None and v.kind == "cycle"
+        with pytest.raises(L.LatticeError, match="^cycle: "):
+            L.build([0, 1], 0, 1, [(0, 1, L.word("a"), 0.0), (1, 1, L.word("b"), 0.0)])
 
     def test_orphan_state_reports_unreachable(self):
-        lat = L.build([0, 1, 2], 0, 1, [(0, 1, L.word("a"), 0.0)])
-        v = L.validate(lat)
-        assert v is not None and v.kind == "unreachable"
-
-    def test_operations_require_validation(self):
-        lat = L.build([0, 1], 0, 1, [(0, 1, L.word("a"), 0.0)])
-        with pytest.raises(L.LatticeError):
-            L.path_count(lat)
+        with pytest.raises(L.LatticeError, match="^unreachable: state 2 "):
+            L.build([0, 1, 2], 0, 1, [(0, 1, L.word("a"), 0.0)])
 
 
 class TestPathCount:
@@ -174,8 +167,8 @@ class TestCombinators:
         for _ in range(25):
             a = random_lattice(rng, max_states=6)
             b = random_lattice(rng, max_states=6)
-            assert L.concat(a, b).validated
-            assert L.union(a, b).validated
+            assert L.validate(L.concat(a, b)) is None
+            assert L.validate(L.union(a, b)) is None
 
 
 class TestSpell:
@@ -274,6 +267,11 @@ class TestTextFormat:
         text = "LATTICE v1 3 0 2\n0 1 w:a 0.0\n1 2 w:c %s\n" % weight
         with pytest.raises(L.LatticeError):
             L.read_lattice(io.StringIO(text))
+
+    @pytest.mark.parametrize("kind", sorted(INVALID_LATTICES))
+    def test_structurally_invalid_file_names_the_kind(self, kind):
+        with pytest.raises(L.LatticeError, match=r"\b%s: " % kind):
+            L.read_lattice(io.StringIO(INVALID_LATTICES[kind]))
 
 
 def _split_fields(line):

@@ -4,8 +4,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapfill import fixtures
+from gapfill import cli, fixtures
 from gapfill import ngram as N
 
 from conftest import ODD_SENTENCES, random_corpus, s3_model_with_unigram_renamed
@@ -326,3 +328,42 @@ class TestSaveLoad:
         model = N.good_turing(N.train([[]], 2))
         with pytest.raises(N.ModelError):
             N.save(model, io.StringIO())
+
+    @pytest.mark.parametrize("corpus, message", [
+        ([("New York", "law")], "token 'New York' is empty or holds whitespace"),
+        ([("a", "")], "token '' is empty or holds whitespace"),
+        (["plan \\end", "\\END law"], "known word '\\\\end' reads as a section line of a model file"),
+        (["\\2-grams a", "\\2-grams"], "known word '\\\\2-grams' reads as a section line of a model file"),
+    ])
+    def test_train_refuses_tokens_a_model_file_cannot_hold(self, corpus, message):
+        with pytest.raises(N.ModelError) as e:
+            N.train(corpus, 2)
+        assert str(e.value) == message
+
+
+# Tokens a model file could misread: spaces, line breaks, empty, and known
+# words that look like section lines; plain words among them.
+ROUND_TRIP_TOKENS = st.one_of(
+    st.sampled_from(["new york", " a", "a ", "a\nb", "a\rb", "a\t", "", "\\end", "\\END",
+                     "\\1-grams", "\\known", "\\x", "Tanaka", "1994", "<s>", "plan"]),
+    st.text(alphabet="aB \t\n\r\\-1\u00e9#", max_size=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(corpus=st.lists(st.lists(ROUND_TRIP_TOKENS, min_size=1, max_size=5).map(tuple),
+                       min_size=1, max_size=6),
+       order=st.sampled_from([2, 3]))
+def test_saved_model_loads_back_equal_or_train_refuses(tmp_path_factory, corpus, order):
+    try:
+        model = N.good_turing(N.train(corpus + [("new", "law")], order))
+    except N.ModelError:
+        return
+    path = tmp_path_factory.getbasetemp() / "round_trip.lm"
+    with open(path, "w", encoding="utf-8") as f:
+        N.save(model, f)
+    with cli._open_read(path) as f:
+        from_file = N.load(f)
+    from_text = N.load(io.StringIO(path.read_text(encoding="utf-8")))
+    for again in (from_file, from_text):
+        assert again.probs == model.probs and again.backoffs == model.backoffs
+        assert list(again.vocab) == list(model.vocab) and again.known == model.known
