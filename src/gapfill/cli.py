@@ -60,24 +60,27 @@ def _load(path, reader):
         except _FORMAT_ERRORS as e:
             raise _Fail(FORMAT_STATUS, "%s: %s" % (path, e))
         except UnicodeDecodeError as e:
-            raise _Fail(FORMAT_STATUS, "%s: not UTF-8 text (byte %d: %s)"
-                        % (path, e.start, e.reason))
+            if f.seekable():  # e.start counts from the decoder's chunk: find the line
+                f.buffer.seek(0)
+                list(_decoded_lines(f.buffer, path))  # raises at the bad line
+            raise _Fail(FORMAT_STATUS, "%s: not UTF-8 text (%s)" % (path, e.reason))
 
 
-def _stdin_lines():
-    """Lines of stdin as text-mode stdin splits them (universal newlines,
-    each ending read as "\n"), decoded as strict UTF-8 whatever the locale.
-    A line that is not UTF-8 fails with exit 4, as _load fails on a file."""
+def _decoded_lines(stream, name):
+    """Lines of a binary stream as text mode splits them (universal
+    newlines, each ending read as "\n"), decoded as strict UTF-8 whatever
+    the locale.  A line that is not UTF-8 fails with exit 4, naming the
+    stream, the line and the byte."""
     lineno = 0
-    for chunk in sys.stdin.buffer:
+    for chunk in stream:
         for raw in chunk.splitlines(keepends=True):
             lineno += 1
             body = raw.rstrip(b"\r\n")
             try:
                 text = body.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise _Fail(FORMAT_STATUS, "<stdin> line %d: not UTF-8 text (byte %d: %s)"
-                            % (lineno, e.start, e.reason))
+                raise _Fail(FORMAT_STATUS, "%s line %d: not UTF-8 text (byte %d: %s)"
+                            % (name, lineno, e.start, e.reason))
             yield text + "\n" if len(body) < len(raw) else text
 
 
@@ -142,7 +145,7 @@ def _cmd_lm(args):
         _write(args, ngram.save, model)
         return 0
     model = _load(args.model, ngram.load)
-    for line in _stdin_lines():
+    for line in _decoded_lines(sys.stdin.buffer, "<stdin>"):
         line = line.strip()
         if not line:
             continue
@@ -226,7 +229,7 @@ def _cmd_postedit(args):
         instances = _load(args.heldout, postedit.read_instances)
         sys.stdout.write("accuracy\t%s\n" % repr(postedit.evaluate(tree, instances)))
         return 0
-    for line in _stdin_lines():
+    for line in _decoded_lines(sys.stdin.buffer, "<stdin>"):
         if not line.strip():
             sys.stdout.write(line)
             continue

@@ -126,8 +126,7 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
                     c = list(ctx)
                     for mt in mtoks:
                         incs.append(model.logprob_model(mt, tuple(c)))
-                        if csize:
-                            c = (c + [mt])[-csize:]
+                        c = (c + [mt])[-csize:]
                     target = into.setdefault(tuple(c), {})
                     for spelled, (_score, k, lm, wt) in group.items():
                         # One addition per token, as a per-hypothesis loop

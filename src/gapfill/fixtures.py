@@ -30,13 +30,18 @@ def path(name: str) -> Path:
     return DATA / name
 
 
+def _read(name: str, reader):
+    """reader(f) over the bundled file, read as UTF-8 whatever the locale."""
+    with path(name).open(encoding="utf-8") as f:
+        return reader(f)
+
+
 def read_text(name: str) -> str:
-    return path(name).read_text()
+    return _read(name, lambda f: f.read())
 
 
 def corpus_lines(name: str):
-    with path(name).open() as f:
-        return record_lines(f)
+    return _read(name, record_lines)
 
 
 def build_demo_lattice(which: str) -> lattice.Lattice:
@@ -49,23 +54,19 @@ def build_demo_model(which: str) -> ngram.NGramModel:
 
 
 def demo_lattice(which: str) -> lattice.Lattice:
-    with path("%s.lat" % which).open() as f:
-        return lattice.read_lattice(f)
+    return _read("%s.lat" % which, lattice.read_lattice)
 
 
 def demo_model(which: str) -> ngram.NGramModel:
-    with path("%s.lm" % which).open() as f:
-        return ngram.load(f)
+    return _read("%s.lm" % which, ngram.load)
 
 
 def translit_pairs():
-    with path("translit_pairs.tsv").open() as f:
-        return translit.read_pairs(f)
+    return _read("translit_pairs.tsv", translit.read_pairs)
 
 
 def translit_table() -> translit.TransliterationTable:
-    with path("translit_table.tsv").open() as f:
-        return translit.read_table(f)
+    return _read("translit_table.tsv", translit.read_table)
 
 
 def build_translit_table() -> translit.TransliterationTable:
@@ -81,13 +82,11 @@ def build_letter_model() -> ngram.NGramModel:
 
 
 def letter_model() -> ngram.NGramModel:
-    with path("letters.lm").open() as f:
-        return ngram.load(f)
+    return _read("letters.lm", ngram.load)
 
 
 def toy_grammar() -> skipparse.Grammar:
-    with path("toy.cfg").open() as f:
-        return skipparse.load_grammar(f)
+    return _read("toy.cfg", skipparse.load_grammar)
 
 
 def suspicion_table() -> skipparse.SuspicionTable:
@@ -101,8 +100,7 @@ def mixed_corpus():
 
 
 def ontology() -> prefsem.Ontology:
-    with path("ontology.ont").open() as f:
-        return prefsem.load_ontology(f)
+    return _read("ontology.ont", prefsem.load_ontology)
 
 
 def goal_expression() -> prefsem.InterlinguaExpr:
@@ -110,12 +108,18 @@ def goal_expression() -> prefsem.InterlinguaExpr:
 
 
 def noun_lexicon() -> postedit.NounLexicon:
-    with path("noun_lexicon.tsv").open() as f:
-        return postedit.load_noun_lexicon(f)
+    return _read("noun_lexicon.tsv", postedit.load_noun_lexicon)
 
 
 def article_corpus():
     return corpus_lines("article_corpus.txt")
+
+
+def _text(writer, obj) -> str:
+    """What writer(obj, fp) writes, as a string."""
+    buf = io.StringIO()
+    writer(obj, buf)
+    return buf.getvalue()
 
 
 def rebuild(outdir=None):
@@ -125,26 +129,14 @@ def rebuild(outdir=None):
     """
     out = {}
     for which in ("s3", "s8"):
-        lat = build_demo_lattice(which)
-        buf = io.StringIO()
-        lattice.write_lattice(lat, buf)
-        out["%s.lat" % which] = buf.getvalue()
-        model = build_demo_model(which)
-        buf = io.StringIO()
-        ngram.save(model, buf)
-        out["%s.lm" % which] = buf.getvalue()
-    buf = io.StringIO()
-    ngram.save(build_letter_model(), buf)
-    out["letters.lm"] = buf.getvalue()
-    buf = io.StringIO()
-    translit.write_table(build_translit_table(), buf)
-    out["translit_table.tsv"] = buf.getvalue()
-    buf = io.StringIO()
-    skipparse.write_suspicion(suspicion_table(), buf)
-    out["suspicion.tsv"] = buf.getvalue()
+        out["%s.lat" % which] = _text(lattice.write_lattice, build_demo_lattice(which))
+        out["%s.lm" % which] = _text(ngram.save, build_demo_model(which))
+    out["letters.lm"] = _text(ngram.save, build_letter_model())
+    out["translit_table.tsv"] = _text(translit.write_table, build_translit_table())
+    out["suspicion.tsv"] = _text(skipparse.write_suspicion, suspicion_table())
     if outdir is not None:
         for name, text in out.items():
-            (Path(outdir) / name).write_text(text)
+            (Path(outdir) / name).write_text(text, encoding="utf-8")
     return out
 
 

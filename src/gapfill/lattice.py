@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .records import finite, records
 
@@ -179,8 +180,15 @@ def validate(lat: Lattice) -> None:
             if indeg[dst] == 0:
                 queue.append(dst)
     if len(order) != n:
-        stuck = [s for s in range(n) if indeg[s] > 0]
-        raise LatticeError("cycle: states on a cycle: %s" % ", ".join(map(str, stuck)))
+        # Each state left has an arc in from another, so graphlib finds a cycle.
+        preds = {s: [] for s in range(n) if indeg[s]}
+        for s in preds:
+            for t in adj[s]:
+                preds[t[1]].append(s)
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError as e:
+            raise LatticeError("cycle: %s" % " -> ".join(map(str, e.args[1]))) from None
 
     # Reachability forward over the topological order, co-reachability backward.
     reachable = [False] * n

@@ -346,7 +346,7 @@ class NGramModel:
     def logprob_model(self, token: str, context: tuple) -> float:
         """log10 p(token | context) over model tokens."""
         w = token if token in self._vocab_set else UNK
-        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        ctx = tuple(context)[-(self.order - 1):]
         return self._lookup(w, ctx)
 
     def _lookup(self, w, ctx):
@@ -467,8 +467,7 @@ def sentence_logprob(model: NGramModel, tokens) -> float:
     for t in list(tokens) + [EOS]:
         mt = t if t == EOS else model.model_token(t)
         total += model.logprob_model(mt, tuple(ctx))
-        if model.order > 1:
-            ctx = (ctx + [mt])[-(model.order - 1):]
+        ctx = (ctx + [mt])[-(model.order - 1):]
     return total
 
 
@@ -508,6 +507,8 @@ def load(fp) -> NGramModel:
         vsize = int(header[3].split("=", 1)[1])
     except (IndexError, ValueError):
         raise ModelError("bad model header")
+    if order < 2:
+        raise ModelError("order must be at least 2")
     meta = fp.readline().split()
     if not meta or meta[0] != "\\meta":
         raise ModelError("missing meta line")
@@ -528,8 +529,7 @@ def load(fp) -> NGramModel:
                 raise ModelError("bad unseen mass %r" % item)
 
     known = set()
-    probs = {k: {} for k in range(1, order + 1)}
-    backoffs = {k: {} for k in range(2, order + 1)}
+    probs, backoffs = {}, {}  # each level's tables appear with its section line
     section = None
     ended = False
     for line in fp:
@@ -547,7 +547,8 @@ def load(fp) -> NGramModel:
                 section = int(line[1:-6]) if line[1:-6].isdecimal() else 0
                 if section < 1 or section > order:
                     raise ModelError("unexpected section %r" % line)
-                level, backs = probs[section], backoffs.get(section + 1)
+                level = probs.setdefault(section, {})
+                backs = backoffs.setdefault(section + 1, {}) if section < order else None
                 width = section + 1
                 continue
         if section == "known":
@@ -569,6 +570,9 @@ def load(fp) -> NGramModel:
             raise ModelError("bad %d-gram line: %r" % (section, line))
     if not ended:
         raise ModelError("truncated model file (missing \\end)")
+    if len(probs) < order:
+        missing = next(k for k in range(1, order + 1) if k not in probs)
+        raise ModelError("missing \\%d-grams section" % missing)
     for level in (unseen, *probs.values(), *backoffs.values()):
         if not all(map(math.isfinite, level.values())):
             raise ModelError("model file holds a non-finite number")

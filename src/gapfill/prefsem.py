@@ -11,6 +11,7 @@ reentrancy through bare instance ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from . import sexpr
 from .records import records
@@ -54,7 +55,12 @@ class RelationConstraint:
 
 
 class Ontology:
-    """Concept taxonomy with per-relation range/domain constraints."""
+    """Concept taxonomy with per-relation range/domain constraints.
+
+    Each concept keeps two int bit sets, built in `graphlib` order: itself
+    with its ancestors, and every concept declared disjoint from one of
+    those.  `subsumes` and `disjoint` are one AND each.
+    """
 
     def __init__(self, concepts, isa_edges, disjoint_pairs, relations):
         self.concepts = frozenset(concepts)
@@ -62,56 +68,41 @@ class Ontology:
         for child, parent in isa_edges:
             self.parents.setdefault(child, set()).add(parent)
         self.relations = dict(relations)
+        graph = {}  # concept -> sorted parents; parents outside `concepts` join the walk
+        walk = sorted(self.concepts)
+        for c in walk:
+            if c not in graph:
+                graph[c] = sorted(self.parents.get(c, ()))
+                walk += graph[c]
+        for pair in disjoint_pairs:
+            for c in pair:
+                graph.setdefault(c, ())
+        try:
+            order = tuple(TopologicalSorter(graph).static_order())
+        except CycleError as e:  # e.args[1] runs parent -> child
+            raise OntologyError("isa cycle: %s" % " -> ".join(reversed(e.args[1]))) from None
+        # Only parents and pair names are in other concepts' sets, so leaves get no bit.
+        inner = {p for c in order for p in graph[c]}.union(*disjoint_pairs)
+        self._bit = {c: 1 << i for i, c in enumerate(c for c in order if c in inner)}
+        self._partners = dict.fromkeys(order, 0)
+        for a, b in disjoint_pairs:
+            self._partners[a] |= self._bit[b]
+            self._partners[b] |= self._bit[a]
         self._ancestors = {}
-        order = self._toposort()
         for c in order:
-            anc = {c}
-            for p in self.parents.get(c, ()):
+            anc = self._bit.get(c, 0)
+            for p in graph[c]:
                 anc |= self._ancestors[p]
-            self._ancestors[c] = frozenset(anc)
-        self._disjoint_declared = frozenset(frozenset(p) for p in disjoint_pairs)
-
-    def _toposort(self):
-        """Every concept after its parents: a depth-first walk in sorted
-        order on a work stack, so any isa depth works."""
-        state = {}
-        order = []
-        for root in sorted(self.concepts):
-            if root in state:
-                continue
-            state[root] = "busy"
-            stack = [(root, iter(sorted(self.parents.get(root, ()))))]
-            while stack:
-                c, parents = stack[-1]
-                p = next(parents, None)
-                if p is None:
-                    stack.pop()
-                    state[c] = "done"
-                    order.append(c)
-                elif state.get(p) == "busy":
-                    trail = [c for c, _ in stack]
-                    cycle = trail[trail.index(p):] + [p]
-                    raise OntologyError("isa cycle: %s" % " -> ".join(cycle))
-                elif p not in state:
-                    state[p] = "busy"
-                    stack.append((p, iter(sorted(self.parents.get(p, ())))))
-        return order
+                self._partners[c] |= self._partners[p]
+            self._ancestors[c] = anc
 
     def subsumes(self, a, b) -> bool:
         """True when a is b or an ancestor of b (reflexive-transitive isa)."""
-        if a == UNIVERSAL:
-            return True
-        return a in self._ancestors.get(b, frozenset((b,)))
+        return a == UNIVERSAL or a == b or self._ancestors.get(b, 0) & self._bit.get(a, 0) != 0
 
     def disjoint(self, a, b) -> bool:
         """Declared disjointness, propagated down both subtrees."""
-        if a == UNIVERSAL or b == UNIVERSAL:
-            return False
-        for x in self._ancestors.get(a, frozenset((a,))):
-            for y in self._ancestors.get(b, frozenset((b,))):
-                if frozenset((x, y)) in self._disjoint_declared:
-                    return True
-        return False
+        return UNIVERSAL not in (a, b) and self._partners.get(a, 0) & self._ancestors.get(b, 0) != 0
 
 
 def _parse_concept_list(text, declared, lineno):

@@ -1,5 +1,6 @@
 import functools
 import io
+import os
 
 import pytest
 
@@ -53,6 +54,26 @@ class TestStatusCodes:
         status, _out, err = run(capsys, "gloss", "compile", str(bad))
         assert status == 4 and str(bad) in err and "not UTF-8" in err
 
+    def test_undecodable_file_names_line_and_byte(self, tmp_path, capsys):
+        # The bad byte lies past the text decoder's first chunk.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b c\n" * 5000 + b"x\xff y\n")
+        status, out, err = run(capsys, "lm", "train", str(bad))
+        assert (status, out) == (4, "")
+        assert err == "gapfill: %s line 5001: not UTF-8 text (byte 1: invalid start byte)\n" % bad
+
+    def test_undecodable_pipe_is_format_error(self, capsys):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as w:
+            w.write(b"a b c\nx\xff y\n")
+        try:
+            path = "/dev/fd/%d" % read_end
+            status, out, err = run(capsys, "lm", "train", path)
+        finally:
+            os.close(read_end)
+        assert (status, out) == (4, "")
+        assert err == "gapfill: %s: not UTF-8 text (invalid start byte)\n" % path
+
     def test_deep_gloss_compiles(self, tmp_path, capsys):
         deep = tmp_path / "deep.gloss"
         deep.write_text(deep_or_text(1200))
@@ -73,6 +94,13 @@ class TestStatusCodes:
         status, _out, err = run(capsys, "extract", str(lat), "--model",
                                 str(fixtures.path("s3.lm")))
         assert status == 4 and "%s: " % kind in err
+
+    def test_lattice_cycle_names_its_arcs(self, tmp_path, capsys):
+        lat = tmp_path / "cycle.lat"
+        lat.write_text(INVALID_LATTICES["cycle"])
+        status, out, err = run(capsys, "extract", str(lat), "--model",
+                               str(fixtures.path("s3.lm")))
+        assert (status, out, err) == (4, "", "gapfill: %s: cycle: 1 -> 1\n" % lat)
 
     @pytest.mark.parametrize("tree", [
         "node head\n  value x\n    leaf DEF:1 INDEF:0 NONE:0\n",
@@ -135,6 +163,16 @@ class TestStatusCodes:
         monkeypatch.setattr("sys.stdin", stdin("planned economy\n"))
         status, out, err = run(capsys, "lm", "score", str(path))
         assert (status, out) == (4, "") and "lacks the %s unigram" % token in err
+
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_model_order_below_two_is_format_error(self, tmp_path, capsys, monkeypatch,
+                                                    order):
+        path = tmp_path / "bad.lm"
+        path.write_text(fixtures.path("s3.lm").read_text(encoding="utf-8")
+                        .replace("order=2", "order=" + order, 1))
+        monkeypatch.setattr("sys.stdin", stdin("planned economy\n"))
+        status, out, err = run(capsys, "lm", "score", str(path))
+        assert (status, out, err) == (4, "", "gapfill: %s: order must be at least 2\n" % path)
 
     def test_domain_error_status(self, tmp_path, capsys):
         multi = tmp_path / "multi.gloss"

@@ -273,6 +273,17 @@ class TestTextFormat:
         with pytest.raises(L.LatticeError, match=r"\b%s: " % kind):
             L.read_lattice(io.StringIO(INVALID_LATTICES[kind]))
 
+    @pytest.mark.parametrize("text, message", [
+        (INVALID_LATTICES["cycle"], "cycle: 1 -> 1"),
+        # 1 -> 2 -> 3 -> 1 with a tail 3 -> 4 that is on no cycle
+        ("LATTICE v1 5 0 4\n0 1 a 0.0\n1 2 b 0.0\n2 3 c 0.0\n3 1 d 0.0\n3 4 e 0.0\n",
+         "cycle: 1 -> 2 -> 3 -> 1"),
+    ], ids=["self-loop", "3-cycle-with-tail"])
+    def test_cycle_message_follows_the_arcs(self, text, message):
+        with pytest.raises(L.LatticeError) as e:
+            L.read_lattice(io.StringIO(text))
+        assert str(e.value) == message
+
 
 def _split_fields(line):
     """Reference for lattice._FIELD, one character at a time: a whitespace

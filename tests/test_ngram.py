@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -290,6 +291,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("old, new, message", [
         ("order=2", "order=two", "bad model header"),
+        ("order=2", "order=1", "order must be at least 2"),
         ("mode=words", "mode=foo", "unknown model mode"),
         ("\\meta", "\\beta", "missing meta line"),
         ("unseen=1:", "unseen=1:x,1:", "bad unseen mass"),
@@ -303,6 +305,23 @@ class TestSaveLoad:
         assert old in text
         with pytest.raises(N.ModelError, match=message):
             N.load(io.StringIO(text.replace(old, new, 1)))
+
+    def test_missing_section_is_error(self):
+        text = fixtures.path("s3.lm").read_text(encoding="utf-8")
+        bigrams = text.index("\\2-grams\n")
+        with pytest.raises(N.ModelError, match=r"^missing \\2-grams section$"):
+            N.load(io.StringIO(text[:bigrams] + "\\end\n"))
+
+    def test_huge_order_fails_before_allocating(self):
+        text = "NGRAM v1 order=1000000 vocab=3\n\\meta mode=words\n\\end\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(N.ModelError, match=r"^missing \\1-grams section$"):
+                N.load(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("token", [N.EOS, N.UNK])
     def test_missing_special_unigram_is_error(self, token):

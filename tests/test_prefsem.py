@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,100 @@ class TestOntology:
     def test_undeclared_concept_is_load_error(self):
         with pytest.raises(P.OntologyError):
             P.load_ontology(io.StringIO("concept A\nisa A GHOST\n"))
+
+    def test_isa_three_cycle_reads_child_to_parent(self):
+        text = "concept A\nconcept B\nconcept C\nisa A B\nisa B C\nisa C A\n"
+        with pytest.raises(P.OntologyError, match="^isa cycle: A -> B -> C -> A$"):
+            P.load_ontology(io.StringIO(text))
+
+    def test_deep_chain_loads_in_little_memory(self):
+        n = 4000
+        text = "".join("concept C%d\n" % i for i in range(n))
+        text += "".join("isa C%d C%d\n" % (i, i + 1) for i in range(n - 1))
+        text += "disjoint C%d X\nconcept X\n" % (n - 1)
+        tracemalloc.start()
+        try:
+            onto = P.load_ontology(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert onto.disjoint("C0", "X") and onto.disjoint("X", "C0")
+        assert not onto.disjoint("C0", "C%d" % (n - 1))
+
+
+class FrozensetOntology:
+    """The ancestor-frozenset taxonomy the bit sets replaced, kept as the
+    oracle: a depth-first walk from each concept in sorted order, and
+    disjointness over every pair of ancestors."""
+
+    def __init__(self, concepts, isa_edges, disjoint_pairs):
+        self.parents = {}
+        for child, parent in isa_edges:
+            self.parents.setdefault(child, set()).add(parent)
+        self.ancestors = {}
+        for c in sorted(concepts):
+            self._walk(c)
+        self.declared = frozenset(frozenset(p) for p in disjoint_pairs)
+
+    def _walk(self, c):
+        if c not in self.ancestors:
+            anc = {c}
+            for p in sorted(self.parents.get(c, ())):
+                anc |= self._walk(p)
+            self.ancestors[c] = frozenset(anc)
+        return self.ancestors[c]
+
+    def subsumes(self, a, b):
+        return a == P.UNIVERSAL or a in self.ancestors.get(b, frozenset((b,)))
+
+    def disjoint(self, a, b):
+        if P.UNIVERSAL in (a, b):
+            return False
+        return any(frozenset((x, y)) in self.declared
+                   for x in self.ancestors.get(a, frozenset((a,)))
+                   for y in self.ancestors.get(b, frozenset((b,))))
+
+
+def random_taxonomy(rng):
+    """Concepts, isa edges (always towards a lower number, so acyclic)
+    and disjoint pairs, some of them a concept with itself."""
+    n = rng.randint(1, 16)
+    names = ["K%02d" % i for i in rng.sample(range(100), n)]
+    edges = [(names[i], names[j]) for i in range(1, n) for j in range(i)
+             if rng.random() < 0.25]
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 4))]
+    return names, edges, pairs
+
+
+class TestOntologyAgainstFrozensets:
+    def check(self, onto, oracle, names):
+        for a in names:
+            for b in names:
+                assert onto.subsumes(a, b) is oracle.subsumes(a, b), (a, b)
+                assert onto.disjoint(a, b) is oracle.disjoint(a, b), (a, b)
+
+    def test_loaded_random_taxonomies(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            names, edges, pairs = random_taxonomy(rng)
+            text = "".join("concept %s\n" % c for c in names)
+            text += "".join("isa %s %s\n" % e for e in edges)
+            text += "".join("disjoint %s %s\n" % p for p in pairs)
+            onto = P.load_ontology(io.StringIO(text))
+            self.check(onto, FrozensetOntology(names, edges, pairs),
+                       names + [P.UNIVERSAL, "UNDECLARED"])
+
+    def test_edges_and_pairs_outside_the_concepts(self):
+        # Built directly, an ontology may name concepts it does not
+        # declare: only the declared ones and their ancestors are walked.
+        rng = random.Random(31)
+        for _ in range(100):
+            names, edges, pairs = random_taxonomy(rng)
+            declared = names[: len(names) // 2]
+            onto = P.Ontology(declared, edges, pairs, {})
+            self.check(onto, FrozensetOntology(declared, edges, pairs),
+                       names + [P.UNIVERSAL, "UNDECLARED"])
 
 
 class TestInterlinguaParsing:
