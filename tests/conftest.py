@@ -73,6 +73,23 @@ INVALID_LATTICES = {
 }
 
 
+SKIP_VOCAB = ["the", "a", "dog", "cat", "bird", "barks", "sleeps", "sees", "police",
+              "agency", "changes", "plans", "big", "new", "in", "market", "law"]
+SKIP_NOISE = ["!", "um", "zebra"]
+
+
+def random_noisy_sentence(rng: random.Random, max_words=9) -> str:
+    """Toy-grammar words with noise tokens mixed in, and now and then a
+    BEGIN-NP ... END-NP bracket around a stretch of them."""
+    toks = [rng.choice(SKIP_VOCAB) if rng.random() < 0.8 else rng.choice(SKIP_NOISE)
+            for _ in range(rng.randint(2, max_words))]
+    if rng.random() < 0.3:
+        i = rng.randint(0, len(toks) - 1)
+        j = rng.randint(i + 1, len(toks))
+        toks[i:j] = ["BEGIN-NP"] + toks[i:j] + ["END-NP"]
+    return " ".join(toks)
+
+
 def random_corpus(rng: random.Random, n_sentences=20):
     vocab = WORDS + EXTRA
     corpus = []

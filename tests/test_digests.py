@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from gapfill import extract, fixtures, gloss, lattice, ngram, translit
+from gapfill import extract, fixtures, gloss, lattice, ngram, skipparse, translit
 
-from conftest import ODD_SENTENCES, random_corpus, random_gloss_text
+from conftest import (ODD_SENTENCES, WORDS, random_corpus, random_gloss_text, random_lattice,
+                      random_noisy_sentence)
 
 TABLE = Path(__file__).with_name("digests.json")
 
@@ -93,6 +94,76 @@ def _back_transliterated():
                  for romaji, _english, _units in fixtures.translit_pairs()])
 
 
+def _scored_sentences():
+    """ODD_SENTENCES, the mixed skip corpus and seeded random sentences."""
+    return ODD_SENTENCES + fixtures.mixed_corpus() + _random(9, 80)
+
+
+def _sentence_scores(model_name):
+    """repr of sentence_logprob over _scored_sentences under a bundled
+    model; a letter model scores each sentence's characters."""
+    model = fixtures.demo_model(model_name) if model_name != "letters" else fixtures.letter_model()
+    scores = []
+    for sent in _scored_sentences():
+        if model.mode == "letters":
+            sent = ngram.letters(sent if isinstance(sent, str) else " ".join(sent))
+        elif isinstance(sent, tuple):
+            sent = list(sent)
+        scores.append(ngram.sentence_logprob(model, sent))
+    return repr(scores)
+
+
+def _oov_token(rng):
+    """A lattice token the model may not know: a word, a NAME or NUM
+    class mark, or a plural morph."""
+    kind = rng.random()
+    if kind < 0.6:
+        return lattice.word(rng.choice(WORDS + ["Tanaka", "1994", "zebra", "quasar", "<unk>"]))
+    if kind < 0.8:
+        return lattice.class_mark("NAME", rng.choice(["Perkin", "Tanaka", ""]))
+    if kind < 0.9:
+        return lattice.class_mark("NUM", "1994")
+    return lattice.morph("+plural")
+
+
+def _nbest_oov_context():
+    """nbest ranked lists over seeded lattices of _oov_token labels, under
+    models trained on a corpus that holds the literal token <unk>: an
+    out-of-vocabulary word scores as <unk> but stays itself in the
+    context."""
+    corpus = _random(10, 60) + ["a <unk> plan", "the <unk> law of <unk>", "<unk> company"] * 2
+    rng = random.Random(11)
+    ranked = []
+    for order, beam in ((2, None), (3, None), (3, 3)):
+        model = _word_model(corpus, order)
+        for _ in range(25):
+            lat = random_lattice(rng, max_states=10, token=_oov_token)
+            ranked.append(extract.nbest(lat, model, 4, beam=beam).ranked)
+            ranked.append(extract.nbest(lat, model, 2, beam=beam, lm_weight=0.5,
+                                        trans_weight=0.5).ranked)
+    return repr(ranked)
+
+
+def _skip_parses(sentences):
+    """Every SkipResult field over the sentences, under the default budget
+    and under a tight one that some searches exhaust."""
+    grammar, table = fixtures.toy_grammar(), fixtures.suspicion_table()
+    out = []
+    for budget in (None, skipparse.SkipBudget(max_skips=4, max_candidates=6)):
+        for sent in sentences:
+            r = skipparse.skip_parse(sent.split(), grammar, table, budget)
+            out.append((r.ok, r.kept, r.skipped, r.tree, r.explored, r.budget_exhausted))
+    return repr(out)
+
+
+def _skip_sentences(name):
+    """The mixed skip corpus, or seeded sentences of the conftest generators."""
+    if name == "mixed":
+        return fixtures.mixed_corpus()
+    rng = random.Random(12)
+    return _random(13, 60) + [random_noisy_sentence(rng) for _ in range(150)]
+
+
 LATTICE_GLOSSES = ("s3", "s8", "full", "random20")
 
 OUTPUTS = {
@@ -102,6 +173,11 @@ OUTPUTS = {
     "extract.nbest/trigram-exact": functools.partial(_nbest_ranked, 3, None),
     "extract.nbest/trigram-beam": functools.partial(_nbest_ranked, 3, 4),
     "translit.back_transliterate/pairs60": _back_transliterated,
+    **{"ngram.sentence_logprob/" + name: functools.partial(_sentence_scores, name)
+       for name in ("s3", "s8", "letters")},
+    "extract.nbest/oov-context": _nbest_oov_context,
+    **{"skipparse.skip_parse/" + name: functools.partial(
+        lambda n: _skip_parses(_skip_sentences(n)), name) for name in ("mixed", "random")},
 }
 
 
