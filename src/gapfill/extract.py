@@ -4,7 +4,9 @@ A hypothesis is keyed by (state, language-model context, spelled
 prefix); only the best one per key survives (higher score, then fewer
 transitions), and each (state, context) keeps its top n spellings (plus
 exact score ties, so ranking stays exact).  Each hypothesis carries its
-combined score, computed once when it is made.  Spellings grow by one
+combined score, computed once when it is made.  Expanding a state takes
+one LM step (NGramModel.advance) per (context, edge), which every
+hypothesis of that context shares.  Spellings grow by one
 rule: a token adds lattice.spelling(token), joined by nothing under a
 letter model (fragments concatenate) and by a space under a word model.
 With the beam disabled the result provably equals brute-force
@@ -46,15 +48,15 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
     beam=None searches exactly; beam=B keeps the best B hypotheses per
     topological layer.  Ties order lexicographically by spelled text.
     Expanding a state asks the model for each out-edge's tokens once, and
-    scores the edge once per distinct context: hypotheses that share a
-    (context, edge) share its LM increments and next context.
+    takes one LM step (model.advance) per (context, edge): hypotheses
+    that share a context share the edge's increments and next context.
     """
     if n < 1:
         raise ExtractError("n must be at least 1")
     if beam is not None and beam < 1:
         raise ExtractError("beam width must be at least 1")
 
-    csize = model.context_size
+    advance = model.advance
     # Letter models score fragments, which concatenate; word models score
     # words, which a space separates.
     sep = "" if model.mode == "letters" else " "
@@ -71,49 +73,47 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
         layers[rank[s]].append(s)
 
     # state -> {context: {spelling: (score, ntokens, lm, wt)}}, the best
-    # hypothesis per key; ntokens (transitions taken) breaks score ties.
+    # hypothesis per key: higher score, then fewer transitions taken.
     pending = [{} for _ in lat.states]
     pending[lat.start][model.start_context()] = {"": (0.0, 0, 0.0, 0.0)}
 
-    def offer(group, spelled, hyp):
-        cur = group.get(spelled)
-        if cur is None or hyp[0] > cur[0] or (hyp[0] == cur[0] and hyp[1] < cur[1]):
-            group[spelled] = hyp
-
-    def keep_top(group):
-        """The top n spellings of one (state, context), plus exact score
-        ties with the n-th, so the final ranking stays exact."""
-        if len(group) <= n:
-            return group
-        ordered = sorted(group.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        cutoff = ordered[n - 1][1][0]
-        return {spelled: h for spelled, h in ordered if h[0] >= cutoff}
-
     finals = {}
     for states in layers:
+        # Each (state, context) keeps its top n spellings, plus exact score
+        # ties with the n-th, so the final ranking stays exact.  The survivors
+        # go back in (-score, spelling) order, which the beam pool and later
+        # ties see.
+        count = 0
         for s in states:
-            pending[s] = {ctx: keep_top(group) for ctx, group in pending[s].items()}
-        if beam is not None:
+            for group in pending[s].values():
+                if len(group) > n:
+                    cutoff = sorted([h[0] for h in group.values()], reverse=True)[n - 1]
+                    top = sorted([(-h[0], sp, h) for sp, h in group.items() if h[0] >= cutoff])
+                    group.clear()
+                    group.update((sp, h) for _neg, sp, h in top)
+                count += len(group)
+        if beam is not None and count > beam:
             pool = [(s, ctx, spelled, h[0]) for s in states
                     for ctx, group in pending[s].items() for spelled, h in group.items()]
-            if len(pool) > beam:
-                pool.sort(key=lambda item: (-item[3], item[2], item[0]))
-                keep = {item[:3] for item in pool[:beam]}
-                for s in states:
-                    kept = {}
-                    for ctx, group in pending[s].items():
-                        group = {sp: h for sp, h in group.items() if (s, ctx, sp) in keep}
-                        if group:
-                            kept[ctx] = group
-                    pending[s] = kept
+            pool.sort(key=lambda item: (-item[3], item[2], item[0]))
+            keep = {item[:3] for item in pool[:beam]}
+            for s in states:
+                kept = {}
+                for ctx, group in pending[s].items():
+                    group = {sp: h for sp, h in group.items() if (s, ctx, sp) in keep}
+                    if group:
+                        kept[ctx] = group
+                pending[s] = kept
         for s in states:
             groups, pending[s] = pending[s], None
             if s == lat.final:
                 for ctx, group in groups.items():
                     end = model.end_logprob(ctx)
                     for spelled, (_score, k, lm, wt) in group.items():
-                        lm += end
-                        offer(finals, spelled, (lm_weight * lm + trans_weight * wt, k))
+                        score = lm_weight * (lm + end) + trans_weight * wt
+                        cur = finals.get(spelled)
+                        if cur is None or score > cur[0] or (score == cur[0] and k < cur[1]):
+                            finals[spelled] = (score, k)
             if not groups:  # the beam emptied this state: expand none of its edges
                 continue
             for (_a, dst, tok, w) in lat.out_edges(s):
@@ -122,12 +122,10 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
                 joint = sep + piece if piece else ""
                 into = pending[dst]
                 for ctx, group in groups.items():
-                    incs = []
-                    c = list(ctx)
-                    for mt in mtoks:
-                        incs.append(model.logprob_model(mt, tuple(c)))
-                        c = (c + [mt])[-csize:]
-                    target = into.setdefault(tuple(c), {})
+                    incs, nxt = advance(ctx, mtoks)
+                    target = into.get(nxt)
+                    if target is None:
+                        target = into[nxt] = {}
                     for spelled, (_score, k, lm, wt) in group.items():
                         # One addition per token, as a per-hypothesis loop
                         # would do it: summing the increments first rounds
@@ -135,8 +133,12 @@ def nbest(lat, model, n, beam=None, lm_weight=1.0, trans_weight=1.0) -> Extracti
                         for inc in incs:
                             lm += inc
                         wt += w
-                        offer(target, spelled + joint if spelled else piece,
-                              (lm_weight * lm + trans_weight * wt, k + 1, lm, wt))
+                        score = lm_weight * lm + trans_weight * wt
+                        grown = spelled + joint if spelled else piece
+                        k += 1
+                        cur = target.get(grown)
+                        if cur is None or score > cur[0] or (score == cur[0] and k < cur[1]):
+                            target[grown] = (score, k, lm, wt)
 
     ranked = sorted(finals.items(), key=lambda kv: (-kv[1][0], kv[0]))
     return ExtractionResult(tuple((spelled, h[0]) for spelled, h in ranked[:n]))

@@ -404,4 +404,9 @@ def read_lattice(fp) -> Lattice:
         except ValueError:
             raise LatticeError("line %d: bad state id or non-finite weight" % lineno)
         transitions.append((src, dst, _parse_token(fields[2]), wt))
+    # Every state but the start needs an arc of its own into it, so a larger
+    # count is refused before build allocates for it.
+    if nstates > len(transitions) + 1:
+        raise LatticeError("bad lattice header: %d states need at least %d arcs, the file "
+                           "has %d" % (nstates, nstates - 1, len(transitions)))
     return build(range(nstates), start, final, transitions)

@@ -349,6 +349,22 @@ class NGramModel:
         ctx = tuple(context)[-(self.order - 1):]
         return self._lookup(w, ctx)
 
+    def advance(self, context: tuple, tokens):
+        """One LM step: (increments, next context) for model tokens read
+        left to right after `context`, a tuple of order - 1 model tokens.
+
+        Each increment is log10 p(token | context so far).  A token outside
+        the vocabulary scores as <unk> but enters the next context as
+        itself, so an unknown word backs off to the history it leaves,
+        not to <unk>'s.
+        """
+        vocab, lookup = self._vocab_set, self._lookup
+        incs = []
+        for t in tokens:
+            incs.append(lookup(t if t in vocab else UNK, context))
+            context = context[1:] + (t,)
+        return incs, context
+
     def _lookup(self, w, ctx):
         k = len(ctx) + 1
         if k == 1:
@@ -360,7 +376,8 @@ class NGramModel:
         return alpha + self._lookup(w, ctx[1:])
 
     def end_logprob(self, context: tuple) -> float:
-        return self.logprob_model(EOS, context)
+        """log10 p(</s> | context), context a tuple of order - 1 model tokens."""
+        return self.advance(context, (EOS,))[0][0]
 
 
 def good_turing(table: CountTable) -> NGramModel:
@@ -462,13 +479,9 @@ def sentence_logprob(model: NGramModel, tokens) -> float:
     """
     if isinstance(tokens, str):
         tokens = tokens.split()
-    ctx = list(model.start_context())
-    total = 0.0
-    for t in list(tokens) + [EOS]:
-        mt = t if t == EOS else model.model_token(t)
-        total += model.logprob_model(mt, tuple(ctx))
-        ctx = (ctx + [mt])[-(model.order - 1):]
-    return total
+    mtoks = [t if t == EOS else model.model_token(t) for t in tokens]
+    incs, _ctx = model.advance(model.start_context(), mtoks + [EOS])
+    return _sum(incs)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def random_noisy_sentence(rng: random.Random, max_words=9) -> str:
     return " ".join(toks)
 
 
+# The corpus holds the literal token <unk>, so under its bigram model
+# p(b | <unk>) = -0.030 is a seen bigram while p(b | zebra) = -0.654 backs
+# off to the unigram.
+UNK_CORPUS = ["a <unk> b", "a c b", "a b", "c a"] * 3 + ["b c"]
+
+
 def random_corpus(rng: random.Random, n_sentences=20):
     vocab = WORDS + EXTRA
     corpus = []

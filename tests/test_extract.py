@@ -5,7 +5,7 @@ from gapfill import fixtures
 from gapfill import lattice as L
 from gapfill import ngram as N
 
-from conftest import WORDS, random_lattice, random_model
+from conftest import UNK_CORPUS, WORDS, random_lattice, random_model
 
 
 def tiny_model():
@@ -113,6 +113,18 @@ class TestBeam:
         assert [s for s, _ in got] == [s for s, _ in oracle] == ["a", "xb"]
         for (_, a), (_, b) in zip(got, oracle):
             assert a == pytest.approx(b, abs=1e-9)
+
+
+class TestUnknownContext:
+    def test_unknown_word_enters_the_context_as_itself(self):
+        # Scoring zebra as <unk> must not also put <unk> in the context.
+        model = N.good_turing(N.train(UNK_CORPUS, 2))
+        lat = L.build([0, 1, 2, 3], 0, 3, [(0, 1, L.word("a"), 0.0),
+                                           (1, 2, L.word("zebra"), 0.0),
+                                           (2, 3, L.word("b"), 0.0)])
+        want = (("a zebra b", -1.5513401351448035),)
+        assert X.nbest(lat, model, 1).ranked == want
+        assert X.brute_force_nbest(lat, model, 1).ranked == want
 
 
 class TestRandomPath:

@@ -1,5 +1,7 @@
 import io
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -283,6 +285,21 @@ class TestTextFormat:
         with pytest.raises(L.LatticeError) as e:
             L.read_lattice(io.StringIO(text))
         assert str(e.value) == message
+
+
+    def test_more_states_than_arcs_can_reach_fails_at_once(self):
+        text = "LATTICE v1 1000000 0 1\n0 1 a 0.0\n"
+        assert len(text) == 33
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            with pytest.raises(L.LatticeError, match="^bad lattice header: 1000000 states need at least 999999 arcs"):
+                L.read_lattice(io.StringIO(text))
+            spent = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spent < 0.1 and peak < 1e6
 
 
 def _split_fields(line):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from gapfill import cli, fixtures
 from gapfill import ngram as N
 
-from conftest import ODD_SENTENCES, random_corpus, s3_model_with_unigram_renamed
+from conftest import (ODD_SENTENCES, UNK_CORPUS, random_corpus, random_model,
+                      s3_model_with_unigram_renamed)
 
 
 def model_for(corpus, order=2):
@@ -250,6 +251,52 @@ class TestSentenceLogprob:
         model = N.good_turing(N.train(random_corpus(rng), 2))
         s = "plan company new".split()
         assert N.sentence_logprob(model, s) == N.sentence_logprob(model, s)
+
+
+def katz(model, token, context):
+    """log10 p(token | context) read straight off probs and backoffs: the
+    longest seen n-gram's probability, plus the backoff weight of every
+    longer history passed over on the way down."""
+    if token not in model.vocab:
+        token = N.UNK
+    if not context:
+        return model.probs[1][(token,)]
+    k = len(context) + 1
+    seen = model.probs[k].get(context + (token,))
+    if seen is not None:
+        return seen
+    return model.backoffs[k].get(context, 0.0) + katz(model, token, context[1:])
+
+
+class TestAdvance:
+    def test_equals_katz_backoff_bit_for_bit(self, rng):
+        models = [fixtures.demo_model("s3"), fixtures.demo_model("s8"),
+                  fixtures.letter_model(), random_model(rng, order=3)]
+        for model in models:
+            pool = list(model.vocab) + ["zebra", "Q", "Tanaka", "1994", ""]
+            for _ in range(300):
+                context = tuple(rng.choice(pool) for _ in range(model.order - 1))
+                tokens = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+                incs, after = model.advance(context, tokens)
+                want, ctx = [], context
+                for t in tokens:
+                    want.append(katz(model, t, ctx))
+                    ctx = (ctx + (t,))[1:]
+                assert (incs, after) == (want, ctx)
+
+    def test_unknown_token_stays_raw_in_the_context(self):
+        model = model_for(UNK_CORPUS)
+        incs, after = model.advance(("a",), ["zebra", "b"])
+        assert after == ("b",)
+        assert incs == [model.logprob_model(N.UNK, ("a",)), model.logprob_model("b", ("zebra",))]
+        assert round(model.logprob_model("b", ("zebra",)), 3) == -0.654
+        assert round(model.logprob_model("b", ("<unk>",)), 3) == -0.030
+        assert N.sentence_logprob(model, "a zebra b") == -1.5513401351448035
+
+    def test_end_logprob_is_the_eos_step(self, rng):
+        model = random_model(rng, order=3)
+        for context in [model.start_context(), ("plan", "zebra"), ("zebra", "zebra")]:
+            assert model.end_logprob(context) == katz(model, N.EOS, context)
 
 
 class TestSaveLoad:
